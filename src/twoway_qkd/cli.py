@@ -202,7 +202,7 @@ def _cmd_attack(args) -> None:
 def _cmd_optimize(args) -> None:
     family = "bb84_worst" if args.family == "bb84" else args.family
     best_seq, best = convergence.optimize_sequence(
-        family, args.max_len, tol=args.tol, css_margin=args.margin, threads=args.threads
+        family, args.max_len, tol=args.tol, css_margin=args.margin
     )
     payload = {
         "command": "optimize",
@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--margin", type=float, default=convergence.DEFAULT_CSS_MARGIN)
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel candidate evaluation; never changes results")
     p.set_defaults(func=_cmd_optimize)
 
     p = subs.add_parser("bounds", help="reference error-rate bounds table")

@@ -10,8 +10,9 @@ given starting error rate is what the threshold searches bisect on.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from array import array
 from dataclasses import dataclass
+from math import nan
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError, binary_entropy, one_minus_binary_entropy
@@ -440,68 +441,105 @@ def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -
     return t.cumulative_yield * max(t.css_rate, 0.0)
 
 
+class _PrefixStates:
+    """Channel after every B/P prefix at one starting channel, filled lazily.
+
+    B/P strings form a tree in which a string's parent is the string less
+    its last round, so a node's state is one map applied to its parent's.
+    Level ``n`` keeps the (qx, qy, qz) of every length-``n`` string, indexed
+    by its bits (bit ``i`` set = P at round ``i + 1``), in one flat array:
+    NaN marks a state not yet computed and qx = -1 a degenerate round on
+    the path, which makes the node and all its extensions diverge.  The
+    states and verdicts are those of :func:`_converges` on the same floats.
+    """
+
+    def __init__(self, root: PauliChannelParams, max_len: int):
+        # Looked up per search, not at import, so maps substituted in
+        # _RATE_FUNCS (by tests or a tracer) are the ones applied.
+        self._maps = (_RATE_FUNCS[StepKind.B], _RATE_FUNCS[StepKind.P])
+        self._root = (root.qx, root.qy, root.qz)
+        self._levels = [array("d")] + [
+            array("d", [nan]) * (3 << n) for n in range(1, max_len + 1)
+        ]
+
+    def converges(self, length: int, bits: int, margin: float) -> bool:
+        levels = self._levels
+        depth = length  # deepest prefix already cached
+        while depth:
+            level = levels[depth]
+            i = 3 * (bits & ((1 << depth) - 1))
+            qx = level[i]
+            if qx == qx:  # not NaN: computed
+                if qx < 0.0:
+                    return False
+                qy, qz = level[i + 1], level[i + 2]
+                break
+            depth -= 1
+        else:
+            qx, qy, qz = self._root
+        for n in range(depth, length):
+            level = levels[n + 1]
+            i = 3 * (bits & ((2 << n) - 1))
+            try:
+                qx, qy, qz, _ = self._maps[(bits >> n) & 1](qx, qy, qz)
+            except DegenerateStepError:
+                level[i] = -1.0
+                return False
+            level[i], level[i + 1], level[i + 2] = qx, qy, qz
+        return css_key_fraction(qx + qy, qy + qz) > margin
+
+
 def optimize_sequence(
     family: str,
     max_len: int,
     tol: float = 1e-4,
     css_margin: float = DEFAULT_CSS_MARGIN,
-    threads: int = 1,
 ) -> tuple[StepSequence, ThresholdResult]:
     """Exhaustive search over B/P strings up to ``max_len`` steps.
 
-    Returns the sequence with the highest threshold; ties (within ``tol``)
-    break toward the higher net key rate 0.01 below threshold, then toward
-    the shorter sequence.  Candidates provably unable to beat the current
-    best (they already diverge 2*tol below it) are pruned, and candidates
-    whose convergence cannot be certified monotone in double precision
-    (long runs of one step kind park an error rate within one ulp of 1/2)
-    are skipped.  The result is deterministic regardless of ``threads``.
+    Candidates run in order of length, then of bits (bit ``i`` set = P at
+    round ``i + 1``).  Returns the sequence with the highest threshold; ties
+    (within ``tol``) break toward the higher net key rate 0.01 below
+    threshold, then toward the shorter sequence.  Candidates provably
+    unable to beat the current best (they already diverge 2*tol below it)
+    are pruned, and candidates whose convergence cannot be certified
+    monotone in double precision (long runs of one step kind park an error
+    rate within one ulp of 1/2) are skipped.  The prune reuses prefix
+    states: each B/P tree node costs one map evaluation per prune probe,
+    and the result is the same as probing every candidate from scratch.
     """
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
-    candidates = [
-        StepSequence.fixed(
-            tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
-            css_margin=css_margin,
-        )
-        for length in range(1, max_len + 1)
-        for bits in range(1 << length)
-    ]
-
-    best_threshold = None  # shared prune hint; conservative, never affects result
-
-    def evaluate(seq: StepSequence) -> ThresholdResult | None:
-        if best_threshold is not None:
-            probe = max(best_threshold - 2.0 * tol, 0.0)
-            if probe > 0.0 and not _converges(seq, channel_for_family(family, probe)):
-                return None
-        try:
-            return find_threshold(seq, family, tol)
-        except NumericalError:
-            return None
-
-    if threads == 1:
-        results = []
-        for seq in candidates:
-            res = evaluate(seq)
-            results.append(res)
-            if res is not None and (
-                best_threshold is None or res.threshold_p > best_threshold
-            ):
+    bisected: list[tuple[StepSequence, ThresholdResult]] = []
+    best_threshold = None  # prune hint; conservative, never affects result
+    prefixes = None  # prune verdicts at best_threshold - 2*tol
+    for length in range(1, max_len + 1):
+        for bits in range(1 << length):
+            if prefixes is not None and not prefixes.converges(length, bits, css_margin):
+                continue
+            seq = StepSequence.fixed(
+                tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
+                css_margin=css_margin,
+            )
+            try:
+                res = find_threshold(seq, family, tol)
+            except NumericalError:
+                continue
+            bisected.append((seq, res))
+            if best_threshold is None or res.threshold_p > best_threshold:
                 best_threshold = res.threshold_p
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, candidates))
+                probe = max(best_threshold - 2.0 * tol, 0.0)
+                prefixes = (
+                    _PrefixStates(channel_for_family(family, probe), max_len)
+                    if probe > 0.0
+                    else None
+                )
 
     best_seq = None
     best_res = None
     best_rate = 0.0
-    for seq, res in zip(candidates, results):
-        if res is None:
-            continue
+    for seq, res in bisected:
         if best_res is None:
             best_seq, best_res = seq, res
             best_rate = _net_rate_near_threshold(seq, family, res.threshold_p)

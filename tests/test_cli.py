@@ -173,11 +173,14 @@ class TestOptimizeCommand:
         assert code == 0
         assert set(report["best_sequence"]) <= {"B", "P"}
 
-    def test_threads_flag_does_not_change_output(self, capsys):
-        base = ["optimize", "--family", "sixstate", "--max-len", "3", "--tol", "1e-3"]
-        _, out1, _ = run_capture(capsys, base)
-        _, out2, _ = run_capture(capsys, base + ["--threads", "3"])
-        assert out1 == out2
+    def test_threads_flag_is_a_usage_error(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            ["optimize", "--family", "sixstate", "--max-len", "3", "--threads", "2"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "--threads" in err
 
 
 class TestBoundsCommand:

@@ -231,12 +231,6 @@ class TestOptimizeSequence:
         seq, res = optimize_sequence("bb84_worst", 12, tol=1e-3)
         assert res.threshold_p >= 0.189 - 1e-3
 
-    def test_threads_do_not_change_the_result(self):
-        seq1, res1 = optimize_sequence("sixstate", 4, tol=1e-3)
-        seq2, res2 = optimize_sequence("sixstate", 4, tol=1e-3, threads=4)
-        assert str(seq1) == str(seq2)
-        assert res1.threshold_p == res2.threshold_p
-
     def test_max_len_validation(self):
         with pytest.raises(ValueError, match="max_len"):
             optimize_sequence("sixstate", 17)
