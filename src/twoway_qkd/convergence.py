@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import cycle, islice
 from math import nan
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
@@ -21,7 +22,6 @@ from .steps import (
     ProtocolClassError,
     StepKind,
     _RATE_FUNCS,
-    apply_step,
 )
 
 FIXED = "fixed"
@@ -42,6 +42,10 @@ BRACKET_UPPER = 1.0 / 3.0
 DEFAULT_CSS_MARGIN = 1e-30
 
 DEFAULT_MAX_ROUNDS = 200
+
+#: Largest ``max_rounds`` a sequence accepts: an evolution keeps one record
+#: per round, so this bounds its memory.
+MAX_ROUNDS = 10_000
 
 
 def css_key_fraction(f1: float, f2: float) -> float:
@@ -81,8 +85,10 @@ class StepSequence:
         object.__setattr__(self, "steps", tuple(StepKind(s) for s in self.steps))
         if self.policy == FIXED and not self.steps:
             raise ValueError("fixed policy requires a non-empty step list")
-        if self.max_rounds < 0:
-            raise ValueError(f"max_rounds must be >= 0, got {self.max_rounds}")
+        if not 0 <= self.max_rounds <= MAX_ROUNDS:
+            raise ValueError(
+                f"max_rounds must be in [0, {MAX_ROUNDS}], got {self.max_rounds}"
+            )
         if self.css_margin < 0.0:
             raise ValueError(f"css_margin must be >= 0, got {self.css_margin}")
 
@@ -191,6 +197,71 @@ class Trajectory:
         ]
 
 
+def _evolve_rounds(
+    seq: StepSequence,
+    c: PauliChannelParams,
+    records: list[TrajectoryRecord] | None = None,
+    prepare_and_measure: bool = False,
+) -> tuple[bool, str | None]:
+    """Evolution kernel of :func:`evolve` and :func:`_converges`.
+
+    Applies ``seq``'s rounds to raw (qx, qy, qz) floats with the maps in
+    ``_RATE_FUNCS`` and returns (converged, diagnostic).  When ``records``
+    is a list, one :class:`TrajectoryRecord` per round is appended to it.
+
+    An alternating run stops early once the state after round i equals the
+    state after round i - 2: both states have failed the CSS test, and the
+    maps are deterministic, so rounds i + 1, i + 2, ... repeat rounds i - 1
+    and i for good.  The records of the rounds left repeat those two.
+    """
+    margin = seq.css_margin
+    qx, qy, qz = c.qx, c.qy, c.qz
+    alternating = seq.policy == ALTERNATING
+    if alternating:
+        if css_key_fraction(qx + qy, qy + qz) > margin:
+            return True, None
+        kinds = islice(cycle((StepKind.B, StepKind.P)), seq.max_rounds)
+        before_last = last = None  # states after rounds i - 2 and i - 1
+    else:
+        kinds = seq.steps
+    maps = _RATE_FUNCS
+    cum_yield = 1.0
+    for index, kind in enumerate(kinds, 1):
+        if prepare_and_measure and kind.epp_only:
+            raise ProtocolClassError(
+                f"step {kind} is EPP-only and cannot appear in a "
+                "prepare-and-measure sequence"
+            )
+        try:
+            qx, qy, qz, ps = maps[kind](qx, qy, qz)
+        except DegenerateStepError as exc:
+            return False, f"degenerate step {index} ({kind}): {exc}"
+        if records is not None:
+            cum_yield *= ps / kind.block_size
+            records.append(
+                TrajectoryRecord(index, kind, PauliChannelParams(qx, qy, qz), ps, cum_yield)
+            )
+        if alternating:
+            state = (qx, qy, qz)
+            if state == before_last:
+                if records is not None:  # each round left repeats the last of its kind
+                    last_of = {
+                        r.kind: (r.params, r.survival_prob, r.survival_prob / r.kind.block_size)
+                        for r in records[-2:]
+                    }
+                    for index, kind in enumerate(kinds, index + 1):
+                        params, ps, factor = last_of[kind]
+                        cum_yield *= factor
+                        records.append(TrajectoryRecord(index, kind, params, ps, cum_yield))
+                break
+            if css_key_fraction(qx + qy, qy + qz) > margin:
+                return True, None
+            before_last, last = last, state
+    if alternating:
+        return False, f"no CSS viability within {seq.max_rounds} rounds"
+    return css_key_fraction(qx + qy, qy + qz) > margin, None
+
+
 def evolve(
     seq: StepSequence,
     c: PauliChannelParams,
@@ -202,79 +273,25 @@ def evolve(
     degenerate round (survival ~ 0) terminates the trajectory as
     non-converged with a diagnostic rather than raising.
     """
-    margin = seq.css_margin
     records: list[TrajectoryRecord] = []
-    cur = c
-    cum_yield = 1.0
-    diagnostic = None
-
-    def finish(converged: bool) -> Trajectory:
-        f1, f2 = cur.pz, cur.px
-        return Trajectory(
-            initial=c,
-            sequence=seq,
-            records=tuple(records),
-            final_bit_rate=f1,
-            final_phase_rate=f2,
-            css_rate=css_key_fraction(f1, f2),
-            converged=converged,
-            diagnostic=diagnostic,
-        )
-
-    if seq.policy == ALTERNATING:
-        if css_key_fraction(cur.pz, cur.px) > margin:
-            return finish(True)
-        n_steps = seq.max_rounds
-    else:
-        n_steps = len(seq.steps)
-
-    for index in range(1, n_steps + 1):
-        kind = seq.kind_at(index)
-        if prepare_and_measure and kind.epp_only:
-            raise ProtocolClassError(
-                f"step {kind} is EPP-only and cannot appear in a "
-                "prepare-and-measure sequence"
-            )
-        try:
-            outcome = apply_step(kind, cur)
-        except DegenerateStepError as exc:
-            diagnostic = f"degenerate step {index} ({kind}): {exc}"
-            return finish(False)
-        cur = outcome.params_after
-        cum_yield *= outcome.yield_factor
-        records.append(
-            TrajectoryRecord(index, kind, cur, outcome.survival_prob, cum_yield)
-        )
-        if seq.policy == ALTERNATING and css_key_fraction(cur.pz, cur.px) > margin:
-            return finish(True)
-
-    if seq.policy == ALTERNATING:
-        diagnostic = f"no CSS viability within {seq.max_rounds} rounds"
-        return finish(False)
-    return finish(css_key_fraction(cur.pz, cur.px) > margin)
+    converged, diagnostic = _evolve_rounds(seq, c, records, prepare_and_measure)
+    cur = records[-1].params if records else c
+    f1, f2 = cur.pz, cur.px
+    return Trajectory(
+        initial=c,
+        sequence=seq,
+        records=tuple(records),
+        final_bit_rate=f1,
+        final_phase_rate=f2,
+        css_rate=css_key_fraction(f1, f2),
+        converged=converged,
+        diagnostic=diagnostic,
+    )
 
 
 def _converges(seq: StepSequence, c: PauliChannelParams) -> bool:
-    """Record-free twin of ``evolve(...).converged`` for search loops."""
-    margin = seq.css_margin
-    qx, qy, qz = c.qx, c.qy, c.qz
-    if seq.policy == ALTERNATING:
-        if css_key_fraction(qx + qy, qy + qz) > margin:
-            return True
-        n_steps = seq.max_rounds
-    else:
-        n_steps = len(seq.steps)
-    for index in range(1, n_steps + 1):
-        rate_fn = _RATE_FUNCS[seq.kind_at(index)]
-        try:
-            qx, qy, qz, _ = rate_fn(qx, qy, qz)
-        except DegenerateStepError:
-            return False
-        if seq.policy == ALTERNATING and css_key_fraction(qx + qy, qy + qz) > margin:
-            return True
-    if seq.policy == ALTERNATING:
-        return False
-    return css_key_fraction(qx + qy, qy + qz) > margin
+    """``evolve(seq, c).converged`` without the records, for search loops."""
+    return _evolve_rounds(seq, c)[0]
 
 
 def channel_for_family(family: str, p: float) -> PauliChannelParams:

@@ -53,11 +53,6 @@ class FlagEnsemble:
     def __len__(self) -> int:
         return int(self.x.size)
 
-    @property
-    def flags(self) -> np.ndarray:
-        """(n, 2) array of (x, z) flag pairs."""
-        return np.column_stack([self.x, self.z])
-
 
 @dataclass(frozen=True)
 class EmpiricalRates:

@@ -1,8 +1,8 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling and counting helpers for the test suite."""
 
 import numpy as np
 
-from twoway_qkd import PauliChannelParams
+from twoway_qkd import PauliChannelParams, StepKind, steps
 
 
 def random_channels(n: int, seed: int, scale: float = 1.0) -> list[PauliChannelParams]:
@@ -14,3 +14,18 @@ def random_channels(n: int, seed: int, scale: float = 1.0) -> list[PauliChannelP
     rng = np.random.default_rng(seed)
     draws = rng.dirichlet([1.0, 1.0, 1.0, 1.0], size=n) * scale
     return [PauliChannelParams(q[0], q[1], q[2]) for q in draws]
+
+
+class CountingMaps:
+    """Wraps the B and P maps in ``steps._RATE_FUNCS`` to count calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        for kind in (StepKind.B, StepKind.P):
+            monkeypatch.setitem(steps._RATE_FUNCS, kind, self._wrap(steps._RATE_FUNCS[kind]))
+
+    def _wrap(self, fn):
+        def counted(*args):
+            self.calls += 1
+            return fn(*args)
+        return counted

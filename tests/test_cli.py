@@ -90,6 +90,15 @@ class TestEvolveCommand:
         assert code == 1
         assert "--p" in err
 
+    def test_oversized_alternation_exits_1(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            ["evolve", "--family", "sixstate", "--p", "0.2", "--sequence", "alt:10001"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "--sequence" in err and "max_rounds" in err
+
     def test_diverged_is_a_valid_finding(self, capsys):
         code, out, _ = run_capture(
             capsys,

@@ -17,7 +17,7 @@ from twoway_qkd import (
     sixstate_channel,
     worst_case_scan,
 )
-from twoway_qkd.convergence import _converges, _is_monotone, channel_for_family
+from twoway_qkd.convergence import MAX_ROUNDS, _converges, _is_monotone, channel_for_family
 
 
 class TestCssKeyFraction:
@@ -62,6 +62,14 @@ class TestSequenceParsing:
     def test_malformed_alternation_count(self):
         with pytest.raises(ValueError, match="alt:N"):
             parse_sequence("alt:many")
+
+    def test_alternation_count_is_bounded(self):
+        assert MAX_ROUNDS == 10_000
+        assert parse_sequence("alt:10000").max_rounds == MAX_ROUNDS
+        with pytest.raises(ValueError, match="max_rounds"):
+            parse_sequence("alt:10001")
+        with pytest.raises(ValueError, match="max_rounds"):
+            parse_sequence("alt:-1")
 
     def test_empty_fixed_sequence_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,179 @@
+"""The single evolution kernel against the two full-length reference loops."""
+
+import pytest
+from conftest import CountingMaps
+
+from twoway_qkd import PauliChannelParams, ProtocolClassError, evolve, parse_sequence, steps
+from twoway_qkd import convergence
+from twoway_qkd.convergence import (
+    ALTERNATING,
+    Trajectory,
+    TrajectoryRecord,
+    _converges,
+    channel_for_family,
+    css_key_fraction,
+    find_threshold,
+)
+from twoway_qkd.steps import _RATE_FUNCS, DegenerateStepError, apply_step
+
+
+def reference_evolve(seq, c, prepare_and_measure=False):
+    """Recording loop that applies every round through ``apply_step``."""
+    margin = seq.css_margin
+    records = []
+    cur = c
+    cum_yield = 1.0
+    diagnostic = None
+
+    def finish(converged):
+        f1, f2 = cur.pz, cur.px
+        return Trajectory(
+            initial=c,
+            sequence=seq,
+            records=tuple(records),
+            final_bit_rate=f1,
+            final_phase_rate=f2,
+            css_rate=css_key_fraction(f1, f2),
+            converged=converged,
+            diagnostic=diagnostic,
+        )
+
+    if seq.policy == ALTERNATING:
+        if css_key_fraction(cur.pz, cur.px) > margin:
+            return finish(True)
+        n_steps = seq.max_rounds
+    else:
+        n_steps = len(seq.steps)
+
+    for index in range(1, n_steps + 1):
+        kind = seq.kind_at(index)
+        if prepare_and_measure and kind.epp_only:
+            raise ProtocolClassError(
+                f"step {kind} is EPP-only and cannot appear in a "
+                "prepare-and-measure sequence"
+            )
+        try:
+            outcome = apply_step(kind, cur)
+        except DegenerateStepError as exc:
+            diagnostic = f"degenerate step {index} ({kind}): {exc}"
+            return finish(False)
+        cur = outcome.params_after
+        cum_yield *= outcome.yield_factor
+        records.append(TrajectoryRecord(index, kind, cur, outcome.survival_prob, cum_yield))
+        if seq.policy == ALTERNATING and css_key_fraction(cur.pz, cur.px) > margin:
+            return finish(True)
+
+    if seq.policy == ALTERNATING:
+        diagnostic = f"no CSS viability within {seq.max_rounds} rounds"
+        return finish(False)
+    return finish(css_key_fraction(cur.pz, cur.px) > margin)
+
+
+def reference_converges(seq, c):
+    """Record-free loop over raw floats that runs every round."""
+    margin = seq.css_margin
+    qx, qy, qz = c.qx, c.qy, c.qz
+    if seq.policy == ALTERNATING:
+        if css_key_fraction(qx + qy, qy + qz) > margin:
+            return True
+        n_steps = seq.max_rounds
+    else:
+        n_steps = len(seq.steps)
+    for index in range(1, n_steps + 1):
+        try:
+            qx, qy, qz, _ = _RATE_FUNCS[seq.kind_at(index)](qx, qy, qz)
+        except DegenerateStepError:
+            return False
+        if seq.policy == ALTERNATING and css_key_fraction(qx + qy, qy + qz) > margin:
+            return True
+    if seq.policy == ALTERNATING:
+        return False
+    return css_key_fraction(qx + qy, qy + qz) > margin
+
+
+SEQUENCES = [
+    "alt:0", "alt:1", "alt:2", "alt:3", "alt:7", "alt:40", "alt:200",
+    "BBBBB", "BBBBBPPPPPP", "BxBP",
+]
+P_GRID = [k / 100 for k in range(51)]
+# Every channel with rates in multiples of 1/8, simplex edges included.
+RAW_GRID = [
+    PauliChannelParams(i / 8, j / 8, k / 8)
+    for i in range(9) for j in range(9 - i) for k in range(9 - i - j)
+]
+
+
+def outcome(fn, *args):
+    """``repr`` of a call's result, or the type and message it raised."""
+    try:
+        return repr(fn(*args))
+    except ProtocolClassError as exc:
+        return f"ProtocolClassError: {exc}"
+
+
+def assert_identical(seq, channels):
+    for c in channels:
+        for pm in (False, True):
+            assert outcome(evolve, seq, c, pm) == outcome(reference_evolve, seq, c, pm)
+        assert _converges(seq, c) == reference_converges(seq, c)
+
+
+@pytest.mark.parametrize("text", SEQUENCES)
+@pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
+def test_identical_on_family_grid(family, text):
+    assert_identical(parse_sequence(text), [channel_for_family(family, p) for p in P_GRID])
+
+
+@pytest.mark.parametrize("text", SEQUENCES)
+def test_identical_on_raw_channel_grid(text):
+    assert_identical(parse_sequence(text), RAW_GRID)
+
+
+@pytest.mark.parametrize("text", ["alt:200", "BBBBBPPPPPP"])
+def test_identical_with_degenerate_rounds(monkeypatch, text):
+    # B rounds raise once pz(1 - pz) > 0.15, i.e. pz > 0.184.
+    monkeypatch.setattr(steps, "DEGENERATE_PS", 0.7)
+    seq = parse_sequence(text)
+    channels = [channel_for_family("bb84_worst", p) for p in P_GRID]
+    assert_identical(seq, channels)
+    assert any(evolve(seq, c).diagnostic.startswith("degenerate step") for c in channels[20:])
+
+
+@pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
+def test_alternating_threshold_identical(monkeypatch, family):
+    seq = parse_sequence("alt:200")
+    found = find_threshold(seq, family)
+    monkeypatch.setattr(convergence, "_converges", reference_converges)
+    assert found == find_threshold(seq, family)
+
+
+class TestCycleExit:
+    """An alternating run stops computing once its state repeats."""
+
+    def test_record_free_verdict(self, monkeypatch):
+        maps = CountingMaps(monkeypatch)
+        assert not _converges(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
+        assert maps.calls < 40
+
+    def test_trajectory_keeps_every_round(self, monkeypatch):
+        maps = CountingMaps(monkeypatch)
+        t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
+        assert maps.calls < 40
+        assert len(t.records) == 200
+        assert [r.step_index for r in t.records] == list(range(1, 201))
+        assert not t.converged
+        assert t.diagnostic == "no CSS viability within 200 rounds"
+
+    def test_repeated_rounds_copy_the_cycle(self):
+        # BB84 at p = 0.2 reaches (0, 0, 1/2) at round 23, so the state
+        # after round 25 repeats that after round 23.
+        t = evolve(parse_sequence("alt:200"), channel_for_family("bb84_worst", 0.2))
+        assert t.final_params == PauliChannelParams(0.0, 0.0, 0.5)
+        for r, prev in zip(t.records[24:], t.records[22:]):
+            assert (r.kind, r.params, r.survival_prob) == (prev.kind, prev.params, prev.survival_prob)
+            assert r.cumulative_yield < prev.cumulative_yield
+
+    def test_fixed_strings_run_every_round(self, monkeypatch):
+        maps = CountingMaps(monkeypatch)
+        assert not _converges(parse_sequence("BP" * 100), channel_for_family("sixstate", 0.28))
+        assert maps.calls == 200

@@ -1,6 +1,7 @@
 """The prefix-cached optimizer against a per-candidate reference search."""
 
 import pytest
+from conftest import CountingMaps
 
 from twoway_qkd import StepKind, StepSequence, find_threshold, optimize_sequence, steps
 from twoway_qkd.convergence import (
@@ -91,21 +92,6 @@ def test_identical_to_reference_with_degenerate_rounds(monkeypatch):
     assert summary(optimize_sequence("bb84_worst", 8, tol=1e-3)) == summary(
         reference_optimize("bb84_worst", 8, tol=1e-3)
     )
-
-
-class CountingMaps:
-    """Wraps the B and P maps in ``steps._RATE_FUNCS`` to count calls."""
-
-    def __init__(self, monkeypatch):
-        self.calls = 0
-        for kind in (StepKind.B, StepKind.P):
-            monkeypatch.setitem(steps._RATE_FUNCS, kind, self._wrap(steps._RATE_FUNCS[kind]))
-
-    def _wrap(self, fn):
-        def counted(*args):
-            self.calls += 1
-            return fn(*args)
-        return counted
 
 
 class TestPrefixStates:
