@@ -7,7 +7,6 @@ attack baselines.
 """
 
 from .channel import (
-    DeltaCoords,
     PauliChannelParams,
     SIMPLEX_TOL,
     bb84_family,
@@ -43,31 +42,17 @@ from .montecarlo import (
     FlagEnsemble,
     Protocol2Report,
     estimate_rates,
+    flag_round,
     intercept_resend,
-    mc_b_step,
-    mc_bx_step,
-    mc_p_step,
     sample_flags,
     simulate_protocol2_bits,
 )
-from .steps import (
-    DegenerateStepError,
-    ProtocolClassError,
-    StepKind,
-    StepOutcome,
-    b_step,
-    b_step_delta,
-    bx_step,
-    enumerate_step_exact,
-    p_step,
-    p_step_delta,
-)
+from .steps import DegenerateStepError, ProtocolClassError, StepKind
 
 __all__ = [
     "AttackReport",
     "BoundsTable",
     "DegenerateStepError",
-    "DeltaCoords",
     "EmpiricalRates",
     "FlagEnsemble",
     "KeyRateReport",
@@ -77,31 +62,22 @@ __all__ = [
     "ProtocolClassError",
     "SIMPLEX_TOL",
     "StepKind",
-    "StepOutcome",
     "StepSequence",
     "ThresholdResult",
     "Trajectory",
     "WorstCaseScan",
-    "b_step",
-    "b_step_delta",
     "bb84_family",
     "binary_entropy",
     "bounds_table",
-    "bx_step",
     "css_key_fraction",
-    "enumerate_step_exact",
     "estimate_rates",
     "evolve",
+    "flag_round",
     "find_threshold",
     "inamori_bb84_rate",
     "inamori_sixstate_rate",
     "intercept_resend",
-    "mc_b_step",
-    "mc_bx_step",
-    "mc_p_step",
     "optimize_sequence",
-    "p_step",
-    "p_step_delta",
     "parse_sequence",
     "rate_threshold",
     "sample_flags",

@@ -2,14 +2,10 @@
 
 The central object is an uncorrelated Pauli channel that acts independently
 on each transmitted qubit: X with probability ``qx``, Y with ``qy``, Z with
-``qz``, and identity with the remaining probability.  Two coordinate systems
-are supported:
-
-* raw rates ``(qx, qy, qz)``;
-* ``(pz, px, delta)``, where ``pz = qx + qy`` is the observable bit error
-  rate, ``px = qy + qz`` the phase error rate, and ``delta = qz - qy`` the
-  signed split between the two unobservable components.  The worst-case
-  convergence analysis for BB84 is carried out in these coordinates.
+``qz``, and identity with the remaining probability.  The raw rates are the
+one state representation; the bit error rate ``pz = qx + qy``, the phase
+error rate ``px = qy + qz`` and the signed split ``delta = qz - qy`` are
+derived from them for reports.
 
 All types are immutable values and all operations are pure functions.
 """
@@ -71,14 +67,6 @@ class PauliChannelParams:
         """Phase error rate qy + qz."""
         return self.qy + self.qz
 
-    def to_delta(self) -> "DeltaCoords":
-        """Change of variables to (pz, px, delta) coordinates."""
-        return DeltaCoords(self.qx + self.qy, self.qy + self.qz, self.qz - self.qy)
-
-    def swap_xz(self) -> "PauliChannelParams":
-        """Exchange the roles of bit and phase errors (X <-> Z conjugation)."""
-        return PauliChannelParams(self.qz, self.qy, self.qx)
-
     def to_dict(self) -> dict[str, float]:
         return {
             "qx": self.qx,
@@ -88,54 +76,6 @@ class PauliChannelParams:
             "px": self.px,
             "delta": self.qz - self.qy,
         }
-
-
-@dataclass(frozen=True)
-class DeltaCoords:
-    """The (pz, px, delta) reparametrization of a Pauli channel.
-
-    All three values are stored redundantly rather than recomputed so that
-    both coordinate systems can be evolved independently and cross-checked.
-    A valid instance always corresponds to a valid channel: the recovered
-    rates ``qy = (px - delta)/2``, ``qz = (px + delta)/2``, ``qx = pz - qy``
-    and the implied ``qi`` must all be non-negative (within ``SIMPLEX_TOL``).
-    """
-
-    pz: float
-    px: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        for name in ("pz", "px", "delta"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if abs(self.delta) > self.px + SIMPLEX_TOL:
-            raise ValueError(
-                f"|delta| must be <= px, got delta={self.delta}, px={self.px}"
-            )
-        qy = 0.5 * (self.px - self.delta)
-        qz = 0.5 * (self.px + self.delta)
-        qx = self.pz - qy
-        if qx < -SIMPLEX_TOL:
-            raise ValueError(
-                f"recovered qx = pz - (px - delta)/2 must be >= 0, got {qx}"
-            )
-        qi = 1.0 - self.pz - qz
-        if qi < -SIMPLEX_TOL:
-            raise ValueError(
-                f"recovered qi = 1 - pz - (px + delta)/2 must be >= 0, got {qi}"
-            )
-
-    def to_channel(self) -> PauliChannelParams:
-        """Invert the change of variables back to (qx, qy, qz)."""
-        qy = 0.5 * (self.px - self.delta)
-        qz = 0.5 * (self.px + self.delta)
-        qx = self.pz - qy
-        return PauliChannelParams(qx, qy, qz)
-
-    def to_dict(self) -> dict[str, float]:
-        return {"pz": self.pz, "px": self.px, "delta": self.delta}
 
 
 def bb84_family(p: float, a: float) -> PauliChannelParams:

@@ -92,7 +92,7 @@ def _sequence(args) -> convergence.StepSequence:
     try:
         return convergence.parse_sequence(args.sequence, css_margin=args.margin)
     except ValueError as exc:
-        raise UsageError(f"--sequence: {exc}")
+        raise UsageError(f"--sequence/--margin: {exc}")
 
 
 def _channel(args) -> PauliChannelParams:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import cycle, islice
-from math import nan
+from math import isfinite, nan
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError, binary_entropy, one_minus_binary_entropy
@@ -89,8 +89,8 @@ class StepSequence:
             raise ValueError(
                 f"max_rounds must be in [0, {MAX_ROUNDS}], got {self.max_rounds}"
             )
-        if self.css_margin < 0.0:
-            raise ValueError(f"css_margin must be >= 0, got {self.css_margin}")
+        if not (isfinite(self.css_margin) and self.css_margin >= 0.0):
+            raise ValueError(f"css_margin must be finite and >= 0, got {self.css_margin}")
 
     @classmethod
     def fixed(cls, steps, css_margin: float = DEFAULT_CSS_MARGIN) -> "StepSequence":
@@ -106,12 +106,6 @@ class StepSequence:
         css_margin: float = DEFAULT_CSS_MARGIN,
     ) -> "StepSequence":
         return cls(policy=ALTERNATING, max_rounds=max_rounds, css_margin=css_margin)
-
-    def kind_at(self, index: int) -> StepKind:
-        """Step kind of 1-based round ``index`` under this policy."""
-        if self.policy == ALTERNATING:
-            return StepKind.B if index % 2 == 1 else StepKind.P
-        return self.steps[index - 1]
 
     def __str__(self) -> str:
         if self.policy == ALTERNATING:
@@ -349,10 +343,10 @@ def find_threshold(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if tol < 1e-6:
-        raise ValueError(f"tol must be >= 1e-6, got {tol}")
     if not 0.0 < upper <= BRACKET_UPPER:
         raise ValueError(f"upper must lie in (0, {BRACKET_UPPER}], got {upper}")
+    if not 1e-6 <= tol < upper:
+        raise ValueError(f"tol must lie in [1e-6, upper = {upper}), got {tol}")
 
     def conv(p: float) -> bool:
         return _converges(seq, channel_for_family(family, p))

@@ -3,16 +3,17 @@
 Three layers:
 
 * flag-level simulation: ensembles of per-pair (bit-flip, phase-flip) error
-  flags pushed through B/P rounds, whose empirical rates must track the
-  closed-form maps;
+  flags pushed through B, P or Bx rounds by :func:`flag_round`, whose
+  empirical rates must track the closed-form maps in ``steps``;
 * bit-level simulation of the prepare-and-measure protocol (announced
   parities, trio compression), which can only see bit errors;
 * intercept-resend attack baselines for BB84 and the six-state scheme.
 
 Randomness uses numpy's PCG64 generator (period 2^128).  Streams are split
 deterministically by seeding with ``[seed, stream_index]``: stream 0 draws
-the initial population, stream k >= 1 drives round k.  Identical seeds give
-identical ensembles, pairings, and reports.
+the initial population, stream k >= 1 draws the random blocks of round k in
+both simulations.  Identical seeds give identical ensembles, pairings, and
+reports.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .channel import PauliChannelParams
 from .convergence import StepSequence, Trajectory, evolve
-from .steps import StepKind, apply_step
+from .steps import StepKind
 
 logger = logging.getLogger(__name__)
 
@@ -34,20 +35,29 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
+def _random_blocks(seed: int, index: int, size: int, block: int) -> list[np.ndarray]:
+    """Random pairing (or trios) of ``size`` items, drawn from stream ``index``.
+
+    Returns ``block`` index arrays of length ``size // block``: entry j of
+    array i is member i of block j.  The ``size % block`` leftovers are
+    dropped.
+    """
+    perm = _stream(seed, index).permutation(size)
+    m = size // block
+    return [perm[i : block * m : block] for i in range(block)]
+
+
 @dataclass
 class FlagEnsemble:
     """Population of per-pair (x, z) error flags with its RNG bookkeeping.
 
-    ``x``/``z`` are uint8 arrays (1 = error present); ``params`` is the
-    channel whose flag distribution the population follows (the analytic
-    image of the source channel under the rounds applied so far);
-    ``round_index`` counts applied rounds and selects the next RNG stream.
+    ``x``/``z`` are uint8 arrays (1 = error present); ``round_index``
+    counts applied rounds and selects the next RNG stream.
     """
 
     x: np.ndarray
     z: np.ndarray
     seed: int
-    params: PauliChannelParams
     round_index: int = 0
 
     def __len__(self) -> int:
@@ -82,9 +92,7 @@ def sample_flags(c: PauliChannelParams, n: int, seed: int) -> FlagEnsemble:
     # Categories by cumulative rate: [0,qx) X, [qx,qx+qy) Y, then Z, then I.
     x = u < c.qx + c.qy
     z = (u >= c.qx) & (u < c.qx + c.qy + c.qz)
-    return FlagEnsemble(
-        x.astype(np.uint8), z.astype(np.uint8), seed, c, round_index=0
-    )
+    return FlagEnsemble(x.astype(np.uint8), z.astype(np.uint8), seed)
 
 
 def estimate_rates(e: FlagEnsemble) -> EmpiricalRates:
@@ -101,14 +109,17 @@ def estimate_rates(e: FlagEnsemble) -> EmpiricalRates:
     return EmpiricalRates(qx, qy, qz, n, se)
 
 
-def _apply_flag_round(e: FlagEnsemble, kind: StepKind) -> FlagEnsemble:
-    rng = _stream(e.seed, e.round_index + 1)
-    perm = rng.permutation(len(e))
+def flag_round(e: FlagEnsemble, kind: StepKind) -> FlagEnsemble:
+    """Apply one ``kind`` round to a flag ensemble over random blocks.
+
+    B keeps the first pair of each random pair iff the x flags agree, with
+    flags ``(x1, z1 ^ z2)``; Bx is its phase-basis mirror; P keeps one member
+    of each random trio with flags ``(x1 ^ x2 ^ x3, majority(z1, z2, z3))``.
+    """
     block = kind.block_size
-    m = len(e) // block
-    if m == 0:
+    if len(e) < block:
         raise ValueError(f"need at least {block} flags for a {kind} round, got {len(e)}")
-    cols = [perm[i : block * m : block] for i in range(block)]
+    cols = _random_blocks(e.seed, e.round_index + 1, len(e), block)
     x = [e.x[c] for c in cols]
     z = [e.z[c] for c in cols]
     if kind is StepKind.B:
@@ -124,28 +135,7 @@ def _apply_flag_round(e: FlagEnsemble, kind: StepKind) -> FlagEnsemble:
         new_z = ((z[0].astype(np.int16) + z[1] + z[2]) >= 2).astype(np.uint8)
     if new_x.size == 0:
         logger.warning("%s round left no survivors (n=%d)", kind, len(e))
-    return FlagEnsemble(
-        new_x,
-        new_z,
-        e.seed,
-        apply_step(kind, e.params).params_after,
-        e.round_index + 1,
-    )
-
-
-def mc_b_step(e: FlagEnsemble) -> FlagEnsemble:
-    """Random pairing; keep the first pair of each block iff x flags agree."""
-    return _apply_flag_round(e, StepKind.B)
-
-
-def mc_p_step(e: FlagEnsemble) -> FlagEnsemble:
-    """Random trios; keep one member with parity/majority-combined flags."""
-    return _apply_flag_round(e, StepKind.P)
-
-
-def mc_bx_step(e: FlagEnsemble) -> FlagEnsemble:
-    """Phase-basis mirror of :func:`mc_b_step`."""
-    return _apply_flag_round(e, StepKind.BX)
+    return FlagEnsemble(new_x, new_z, e.seed, e.round_index + 1)
 
 
 @dataclass(frozen=True)
@@ -219,13 +209,10 @@ def simulate_protocol2_bits(
     rounds: list[RoundReport] = []
     for rec in traj.records:
         size = alice.size
-        block = rec.kind.block_size
-        m = size // block
-        if m == 0:
+        if size < rec.kind.block_size:
             logger.warning("population exhausted before round %d", rec.step_index)
             break
-        perm = _stream(seed, rec.step_index).permutation(size)
-        cols = [perm[i : block * m : block] for i in range(block)]
+        cols = _random_blocks(seed, rec.step_index, size, rec.kind.block_size)
         if rec.kind is StepKind.B:
             keep = (alice[cols[0]] ^ alice[cols[1]]) == (bob[cols[0]] ^ bob[cols[1]])
             alice = alice[cols[0]][keep]

@@ -17,19 +17,18 @@ Three step kinds act on a population of shared pairs carrying independent
   entanglement-based protocol can evaluate, so it is never legal inside a
   prepare-and-measure sequence.
 
-Each closed-form map has an exhaustive-enumeration twin
-(:func:`enumerate_step_exact`) that propagates every Pauli configuration on
-the step's block and must agree with it to ~1e-15.  The maps are also
-provided in (pz, px, delta) coordinates for the worst-case analysis.
+Each map takes raw rates (qx, qy, qz) and returns the rates after the
+round with the block survival probability ``ps`` (1 for P); the kept
+fraction of a round is ``ps / kind.block_size``.  ``_RATE_FUNCS`` keys the
+maps by :class:`StepKind` and is the one way the package applies a round.
+The tests hold the independent oracles: an exhaustive enumeration of Pauli
+configurations, and the recursion in (pz, px, delta) coordinates used by
+the worst-case analysis (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from math import fsum
-
-from .channel import DeltaCoords, PauliChannelParams
 
 # Below this survival probability a check round would discard essentially
 # every pair; the step raises instead of dividing.  For valid channels
@@ -63,20 +62,6 @@ class StepKind(str, enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """Channel after one round, with survival and yield bookkeeping.
-
-    ``survival_prob`` is the probability that a block passes the round's
-    check (1 for P); ``yield_factor`` is the fraction of the input
-    population kept (ps/2 for B/Bx, 1/3 for P).
-    """
-
-    params_after: PauliChannelParams
-    survival_prob: float
-    yield_factor: float
 
 
 def _b_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
@@ -118,113 +103,4 @@ def _p_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, floa
     return max(0.0, nqx), max(0.0, nqy), max(0.0, nqz), 1.0
 
 
-def b_step(c: PauliChannelParams) -> StepOutcome:
-    """Apply one parity-check (B) round to the channel."""
-    qx, qy, qz, ps = _b_rates(c.qx, c.qy, c.qz)
-    return StepOutcome(PauliChannelParams(qx, qy, qz), ps, 0.5 * ps)
-
-
-def bx_step(c: PauliChannelParams) -> StepOutcome:
-    """Apply one phase-basis parity-check (Bx) round; EPP-only."""
-    qx, qy, qz, ps = _bx_rates(c.qx, c.qy, c.qz)
-    return StepOutcome(PauliChannelParams(qx, qy, qz), ps, 0.5 * ps)
-
-
-def p_step(c: PauliChannelParams) -> StepOutcome:
-    """Apply one repetition-code phase-correction (P) round."""
-    qx, qy, qz, ps = _p_rates(c.qx, c.qy, c.qz)
-    return StepOutcome(PauliChannelParams(qx, qy, qz), ps, 1.0 / 3.0)
-
-
-_STEP_FUNCS = {StepKind.B: b_step, StepKind.P: p_step, StepKind.BX: bx_step}
 _RATE_FUNCS = {StepKind.B: _b_rates, StepKind.P: _p_rates, StepKind.BX: _bx_rates}
-
-
-def apply_step(kind: StepKind, c: PauliChannelParams) -> StepOutcome:
-    """Dispatch to the closed-form map for ``kind``."""
-    return _STEP_FUNCS[kind](c)
-
-
-def _b_delta(pz: float, px: float, delta: float) -> tuple[float, float, float]:
-    """Raw B-step map in (pz, px, delta) coordinates."""
-    ps = 1.0 - 2.0 * pz + 2.0 * pz * pz
-    if ps < DEGENERATE_PS:
-        raise DegenerateStepError(f"B step survival probability {ps} ~ 0")
-    return (
-        pz * pz / ps,
-        (px - px * px + delta * (1.0 - 2.0 * pz - delta)) / ps,
-        (px * (1.0 - 2.0 * pz) + delta * (1.0 - 2.0 * px)) / ps,
-    )
-
-
-def _p_delta(pz: float, px: float, delta: float) -> tuple[float, float, float]:
-    """Raw P-step map in (pz, px, delta) coordinates."""
-    return (
-        3.0 * pz * (1.0 - pz) ** 2 + pz**3,
-        3.0 * px * px * (1.0 - px) + px**3,
-        3.0 * delta * delta * (1.0 - 2.0 * pz - delta) + delta**3,
-    )
-
-
-def b_step_delta(d: DeltaCoords) -> DeltaCoords:
-    """B-step map in (pz, px, delta) coordinates."""
-    return DeltaCoords(*_b_delta(d.pz, d.px, d.delta))
-
-
-def p_step_delta(d: DeltaCoords) -> DeltaCoords:
-    """P-step map in (pz, px, delta) coordinates."""
-    return DeltaCoords(*_p_delta(d.pz, d.px, d.delta))
-
-
-# Flag categories in (x, z) form: identity, X, Y, Z.
-_FLAGS = ((0, 0), (1, 0), (1, 1), (0, 1))
-
-
-def enumerate_step_exact(kind: StepKind, c: PauliChannelParams) -> StepOutcome:
-    """Independent oracle: exhaust all Pauli configurations on one block.
-
-    Propagates per-pair error flags through the step's keep/discard/correct
-    logic over all 16 (B/Bx) or 64 (P) configurations, accumulating category
-    probabilities with exact summation.  Must reproduce the closed-form map
-    to ~1e-15.
-    """
-    prob = {
-        (0, 0): c.qi,
-        (1, 0): c.qx,
-        (1, 1): c.qy,
-        (0, 1): c.qz,
-    }
-    kept: dict[tuple[int, int], list[float]] = {f: [] for f in _FLAGS}
-    if kind is StepKind.P:
-        for f1 in _FLAGS:
-            for f2 in _FLAGS:
-                for f3 in _FLAGS:
-                    x = f1[0] ^ f2[0] ^ f3[0]
-                    z = 1 if f1[1] + f2[1] + f3[1] >= 2 else 0
-                    kept[(x, z)].append(prob[f1] * prob[f2] * prob[f3])
-        total = fsum(p for bucket in kept.values() for p in bucket)
-        survival = 1.0
-        yield_factor = 1.0 / 3.0
-    else:
-        for f1 in _FLAGS:
-            for f2 in _FLAGS:
-                if kind is StepKind.B:
-                    if f1[0] != f2[0]:
-                        continue
-                    out = (f1[0], f1[1] ^ f2[1])
-                else:  # Bx
-                    if f1[1] != f2[1]:
-                        continue
-                    out = (f1[0] ^ f2[0], f1[1])
-                kept[out].append(prob[f1] * prob[f2])
-        total = fsum(p for bucket in kept.values() for p in bucket)
-        if total < DEGENERATE_PS:
-            raise DegenerateStepError(f"{kind} step survival probability {total} ~ 0")
-        survival = total
-        yield_factor = 0.5 * total
-    params = PauliChannelParams(
-        fsum(kept[(1, 0)]) / total,
-        fsum(kept[(1, 1)]) / total,
-        fsum(kept[(0, 1)]) / total,
-    )
-    return StepOutcome(params, survival, yield_factor)

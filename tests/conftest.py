@@ -1,8 +1,8 @@
-"""Shared sampling and counting helpers for the test suite."""
+"""Shared sampling, counting and single-round helpers for the test suite."""
 
 import numpy as np
 
-from twoway_qkd import PauliChannelParams, StepKind, steps
+from twoway_qkd import PauliChannelParams, StepKind, StepSequence, evolve, steps
 
 
 def random_channels(n: int, seed: int, scale: float = 1.0) -> list[PauliChannelParams]:
@@ -29,3 +29,8 @@ class CountingMaps:
             self.calls += 1
             return fn(*args)
         return counted
+
+
+def one_round(kind: StepKind, c: PauliChannelParams):
+    """The package's record of a single ``kind`` round applied to ``c``."""
+    return evolve(StepSequence.fixed([kind]), c).records[0]

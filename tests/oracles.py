@@ -1,0 +1,176 @@
+"""Independent oracles for the one-round maps in ``twoway_qkd.steps``.
+
+Two references that share no formula with the package's maps:
+
+* :func:`enumerate_step_exact` propagates every Pauli configuration on one
+  block through a round's keep/discard/correct logic;
+* the (pz, px, delta) reparametrization, :class:`DeltaCoords`, with the B
+  and P maps written in it.  The argument that a = 0 is the worst BB84
+  channel (delta >= 0 and 1 - 2 pz - 2 delta > 0 are preserved) is carried
+  out in these coordinates.
+
+The tests compare them with ``steps._RATE_FUNCS``, the maps the package
+applies.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from math import fsum
+
+from twoway_qkd import DegenerateStepError, PauliChannelParams, StepKind
+from twoway_qkd.channel import SIMPLEX_TOL
+from twoway_qkd.steps import DEGENERATE_PS, _RATE_FUNCS
+
+
+@dataclass(frozen=True)
+class DeltaCoords:
+    """The (pz, px, delta) reparametrization of a Pauli channel.
+
+    ``pz = qx + qy`` is the bit error rate, ``px = qy + qz`` the phase error
+    rate and ``delta = qz - qy`` the signed split between the two
+    unobservable components.  A valid instance always corresponds to a
+    valid channel: the recovered rates ``qy = (px - delta)/2``,
+    ``qz = (px + delta)/2``, ``qx = pz - qy`` and the implied ``qi`` must all
+    be non-negative (within ``SIMPLEX_TOL``).
+    """
+
+    pz: float
+    px: float
+    delta: float
+
+    def __post_init__(self) -> None:
+        for name in ("pz", "px", "delta"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if abs(self.delta) > self.px + SIMPLEX_TOL:
+            raise ValueError(
+                f"|delta| must be <= px, got delta={self.delta}, px={self.px}"
+            )
+        qy = 0.5 * (self.px - self.delta)
+        qz = 0.5 * (self.px + self.delta)
+        qx = self.pz - qy
+        if qx < -SIMPLEX_TOL:
+            raise ValueError(
+                f"recovered qx = pz - (px - delta)/2 must be >= 0, got {qx}"
+            )
+        qi = 1.0 - self.pz - qz
+        if qi < -SIMPLEX_TOL:
+            raise ValueError(
+                f"recovered qi = 1 - pz - (px + delta)/2 must be >= 0, got {qi}"
+            )
+
+    def to_channel(self) -> PauliChannelParams:
+        """Invert the change of variables back to (qx, qy, qz)."""
+        qy = 0.5 * (self.px - self.delta)
+        qz = 0.5 * (self.px + self.delta)
+        qx = self.pz - qy
+        return PauliChannelParams(qx, qy, qz)
+
+
+def to_delta(c: PauliChannelParams) -> DeltaCoords:
+    """Change of variables to (pz, px, delta) coordinates."""
+    return DeltaCoords(c.qx + c.qy, c.qy + c.qz, c.qz - c.qy)
+
+
+def swap_xz(c: PauliChannelParams) -> PauliChannelParams:
+    """Exchange the roles of bit and phase errors (X <-> Z conjugation)."""
+    return PauliChannelParams(c.qz, c.qy, c.qx)
+
+
+def _b_delta(pz: float, px: float, delta: float) -> tuple[float, float, float]:
+    """Raw B-step map in (pz, px, delta) coordinates."""
+    ps = 1.0 - 2.0 * pz + 2.0 * pz * pz
+    if ps < DEGENERATE_PS:
+        raise DegenerateStepError(f"B step survival probability {ps} ~ 0")
+    return (
+        pz * pz / ps,
+        (px - px * px + delta * (1.0 - 2.0 * pz - delta)) / ps,
+        (px * (1.0 - 2.0 * pz) + delta * (1.0 - 2.0 * px)) / ps,
+    )
+
+
+def _p_delta(pz: float, px: float, delta: float) -> tuple[float, float, float]:
+    """Raw P-step map in (pz, px, delta) coordinates."""
+    return (
+        3.0 * pz * (1.0 - pz) ** 2 + pz**3,
+        3.0 * px * px * (1.0 - px) + px**3,
+        3.0 * delta * delta * (1.0 - 2.0 * pz - delta) + delta**3,
+    )
+
+
+def b_step_delta(d: DeltaCoords) -> DeltaCoords:
+    """B-step map in (pz, px, delta) coordinates."""
+    return DeltaCoords(*_b_delta(d.pz, d.px, d.delta))
+
+
+def p_step_delta(d: DeltaCoords) -> DeltaCoords:
+    """P-step map in (pz, px, delta) coordinates."""
+    return DeltaCoords(*_p_delta(d.pz, d.px, d.delta))
+
+
+def rates_in_delta(kind: StepKind, pz: float, px: float, delta: float) -> tuple[float, float, float]:
+    """The package's map for ``kind`` (``_RATE_FUNCS``), read in (pz, px, delta)."""
+    qy = 0.5 * (px - delta)
+    qz = 0.5 * (px + delta)
+    qx, qy, qz, _ = _RATE_FUNCS[kind](pz - qy, qy, qz)
+    return qx + qy, qy + qz, qz - qy
+
+
+# Flag categories in (x, z) form: identity, X, Y, Z.
+_FLAGS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def enumerate_step_exact(
+    kind: StepKind, c: PauliChannelParams
+) -> tuple[PauliChannelParams, float, float]:
+    """Exhaust all Pauli configurations on one block.
+
+    Propagates per-pair error flags through the step's keep/discard/correct
+    logic over all 16 (B/Bx) or 64 (P) configurations, accumulating category
+    probabilities with exact summation.  Returns the channel after the
+    round, the block survival probability and the kept fraction of the
+    population; must reproduce the closed-form map to ~1e-15.
+    """
+    prob = {
+        (0, 0): c.qi,
+        (1, 0): c.qx,
+        (1, 1): c.qy,
+        (0, 1): c.qz,
+    }
+    kept: dict[tuple[int, int], list[float]] = {f: [] for f in _FLAGS}
+    if kind is StepKind.P:
+        for f1 in _FLAGS:
+            for f2 in _FLAGS:
+                for f3 in _FLAGS:
+                    x = f1[0] ^ f2[0] ^ f3[0]
+                    z = 1 if f1[1] + f2[1] + f3[1] >= 2 else 0
+                    kept[(x, z)].append(prob[f1] * prob[f2] * prob[f3])
+        total = fsum(p for bucket in kept.values() for p in bucket)
+        survival = 1.0
+        yield_factor = 1.0 / 3.0
+    else:
+        for f1 in _FLAGS:
+            for f2 in _FLAGS:
+                if kind is StepKind.B:
+                    if f1[0] != f2[0]:
+                        continue
+                    out = (f1[0], f1[1] ^ f2[1])
+                else:  # Bx
+                    if f1[1] != f2[1]:
+                        continue
+                    out = (f1[0] ^ f2[0], f1[1])
+                kept[out].append(prob[f1] * prob[f2])
+        total = fsum(p for bucket in kept.values() for p in bucket)
+        if total < DEGENERATE_PS:
+            raise DegenerateStepError(f"{kind} step survival probability {total} ~ 0")
+        survival = total
+        yield_factor = 0.5 * total
+    params = PauliChannelParams(
+        fsum(kept[(1, 0)]) / total,
+        fsum(kept[(1, 1)]) / total,
+        fsum(kept[(0, 1)]) / total,
+    )
+    return params, survival, yield_factor

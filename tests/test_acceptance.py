@@ -9,25 +9,25 @@ import time
 
 import numpy as np
 
-from conftest import random_channels
+from conftest import one_round, random_channels
+from oracles import DeltaCoords, b_step_delta, enumerate_step_exact, p_step_delta, to_delta
 from twoway_qkd import (
+    PauliChannelParams,
     StepKind,
     StepSequence,
-    b_step,
     estimate_rates,
+    evolve,
     find_threshold,
+    flag_round,
     inamori_bb84_rate,
     inamori_sixstate_rate,
     intercept_resend,
-    mc_b_step,
-    mc_p_step,
-    p_step,
     rate_threshold,
     sample_flags,
     shor_preskill_rate,
     worst_case_scan,
 )
-from twoway_qkd.steps import _b_delta, _p_delta, apply_step, enumerate_step_exact
+from twoway_qkd.steps import _RATE_FUNCS
 
 # Strict inequalities of the worst-case argument are checked with this
 # absolute floor: once an error rate reaches the 1/2 fixed point, doubles
@@ -105,15 +105,15 @@ def test_criterion_07_oracle_equivalence():
     worst = 0.0
     for c in random_channels(1000, seed=2025):
         for kind in StepKind:
-            closed = apply_step(kind, c)
-            oracle = enumerate_step_exact(kind, c)
+            closed = one_round(kind, c)
+            params, survival, yield_factor = enumerate_step_exact(kind, c)
             worst = max(
                 worst,
-                abs(closed.params_after.qx - oracle.params_after.qx),
-                abs(closed.params_after.qy - oracle.params_after.qy),
-                abs(closed.params_after.qz - oracle.params_after.qz),
-                abs(closed.survival_prob - oracle.survival_prob),
-                abs(closed.yield_factor - oracle.yield_factor),
+                abs(closed.params.qx - params.qx),
+                abs(closed.params.qy - params.qy),
+                abs(closed.params.qz - params.qz),
+                abs(closed.survival_prob - survival),
+                abs(closed.cumulative_yield - yield_factor),
             )
     elapsed = time.perf_counter() - start
     assert worst <= 1e-15
@@ -125,15 +125,11 @@ def test_criterion_08_mc_vs_analytic_steps():
     start = time.perf_counter()
     worst_sigmas = 0.0
     for i, c in enumerate(random_channels(20, seed=42, scale=0.9)):
-        for kind, mc_step in ((StepKind.B, mc_b_step), (StepKind.P, mc_p_step)):
-            out = mc_step(sample_flags(c, 1_000_000, seed=1000 + i))
-            analytic = apply_step(kind, c).params_after
+        for kind in (StepKind.B, StepKind.P):
+            out = flag_round(sample_flags(c, 1_000_000, seed=1000 + i), kind)
+            analytic = _RATE_FUNCS[kind](c.qx, c.qy, c.qz)
             est = estimate_rates(out)
-            for q_hat, q_true in (
-                (est.qx_hat, analytic.qx),
-                (est.qy_hat, analytic.qy),
-                (est.qz_hat, analytic.qz),
-            ):
+            for q_hat, q_true in zip((est.qx_hat, est.qy_hat, est.qz_hat), analytic):
                 sigma = max(math.sqrt(q_true * (1 - q_true) / est.n), 1e-12)
                 dev = abs(q_hat - q_true) / sigma
                 worst_sigmas = max(worst_sigmas, dev)
@@ -163,15 +159,14 @@ def test_criterion_10_delta_claim_suite():
     for p in np.linspace(0.25 / 100, 0.25 * 99 / 100, 50):
         for delta0 in (-p, -0.5 * p, 0.0, 0.5 * p, p):
             starts += 1
+            assert 1.0 - 2.0 * p - 2.0 * delta0 > 0.0
+            start = DeltaCoords(p, p, delta0).to_channel()
             for _ in range(10):
-                kinds = ["B"] + ["B" if rng.random() < 0.5 else "P" for _ in range(49)]
-                pz, px, delta = p, p, delta0
-                assert 1.0 - 2.0 * pz - 2.0 * delta > 0.0
-                for j, kind in enumerate(kinds):
-                    step = _b_delta if kind == "B" else _p_delta
-                    pz, px, delta = step(pz, px, delta)
-                    assert delta >= ROUNDOFF_FLOOR
-                    assert 1.0 - 2.0 * pz - 2.0 * delta > ROUNDOFF_FLOOR
+                kinds = "B" + "".join("B" if rng.random() < 0.5 else "P" for _ in range(49))
+                for r in evolve(StepSequence.fixed(kinds), start).records:
+                    d = to_delta(r.params)
+                    assert d.delta >= ROUNDOFF_FLOOR
+                    assert 1.0 - 2.0 * d.pz - 2.0 * d.delta > ROUNDOFF_FLOOR
     _report(
         "criterion 10",
         f"delta >= 0 and 1 - 2pz - 2delta > 0 held for {starts} starts x 10 strings x 50 rounds",
@@ -182,22 +177,20 @@ def test_criterion_11_commutation_and_roundtrip_invariants():
     worst_comm = 0.0
     worst_rt = 0.0
     for c in random_channels(10_000, seed=77):
-        d = c.to_delta()
+        d = to_delta(c)
         back = d.to_channel()
         worst_rt = max(
             worst_rt,
             abs(back.qx - c.qx),
             abs(back.qy - c.qy),
             abs(back.qz - c.qz),
-            abs(back.to_delta().pz - d.pz),
-            abs(back.to_delta().px - d.px),
-            abs(back.to_delta().delta - d.delta),
+            abs(to_delta(back).pz - d.pz),
+            abs(to_delta(back).px - d.px),
+            abs(to_delta(back).delta - d.delta),
         )
-        from twoway_qkd import b_step_delta, p_step_delta
-
-        for delta_map, channel_map in ((b_step_delta, b_step), (p_step_delta, p_step)):
+        for delta_map, kind in ((b_step_delta, StepKind.B), (p_step_delta, StepKind.P)):
             via_delta = delta_map(d)
-            via_channel = channel_map(c).params_after.to_delta()
+            via_channel = to_delta(PauliChannelParams(*_RATE_FUNCS[kind](c.qx, c.qy, c.qz)[:3]))
             worst_comm = max(
                 worst_comm,
                 abs(via_delta.pz - via_channel.pz),

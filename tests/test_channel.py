@@ -1,11 +1,12 @@
-"""Channel parametrizations: validation, coordinate changes, families."""
+"""Channel parametrizations: validation, families, and the delta-coordinate oracle."""
 
 import math
 
 import pytest
 
 from conftest import random_channels
-from twoway_qkd import DeltaCoords, PauliChannelParams, bb84_family, sixstate_channel
+from oracles import DeltaCoords, swap_xz, to_delta
+from twoway_qkd import PauliChannelParams, bb84_family, sixstate_channel
 
 
 class TestPauliChannelParams:
@@ -37,25 +38,25 @@ class TestPauliChannelParams:
 
 class TestToDelta:
     def test_identity_channel(self):
-        d = PauliChannelParams(0, 0, 0).to_delta()
+        d = to_delta(PauliChannelParams(0, 0, 0))
         assert (d.pz, d.px, d.delta) == (0.0, 0.0, 0.0)
 
     def test_printed_definition(self):
-        d = PauliChannelParams(0.07, 0.03, 0.07).to_delta()
+        d = to_delta(PauliChannelParams(0.07, 0.03, 0.07))
         assert d.pz == pytest.approx(0.10, abs=1e-15)
         assert d.px == pytest.approx(0.10, abs=1e-15)
         assert d.delta == pytest.approx(0.04, abs=1e-15)
 
     def test_bb84_family_maps_to_p_p_p_minus_2a(self):
         for p, a in [(0.2, 0.05), (0.3, 0.1), (0.25, 0.125), (0.189, 0.0)]:
-            d = bb84_family(p, a).to_delta()
+            d = to_delta(bb84_family(p, a))
             assert d.pz == pytest.approx(p, abs=1e-15)
             assert d.px == pytest.approx(p, abs=1e-15)
             assert d.delta == pytest.approx(p - 2 * a, abs=1e-15)
 
     def test_sixstate_maps_to_p_p_zero_exactly(self):
         for p in [0.0, 0.1, 0.2, 0.264, 0.5]:
-            d = sixstate_channel(p).to_delta()
+            d = to_delta(sixstate_channel(p))
             assert d.pz == p
             assert d.px == p
             assert d.delta == 0.0
@@ -95,15 +96,15 @@ class TestDeltaCoords:
 class TestRoundTrips:
     def test_channel_roundtrip_on_sampled_simplex(self):
         for c in random_channels(2000, seed=101):
-            back = c.to_delta().to_channel()
+            back = to_delta(c).to_channel()
             assert abs(back.qx - c.qx) <= 1e-15
             assert abs(back.qy - c.qy) <= 1e-15
             assert abs(back.qz - c.qz) <= 1e-15
 
     def test_delta_roundtrip_on_sampled_simplex(self):
         for c in random_channels(2000, seed=102):
-            d = c.to_delta()
-            back = d.to_channel().to_delta()
+            d = to_delta(c)
+            back = to_delta(d.to_channel())
             assert abs(back.pz - d.pz) <= 1e-15
             assert abs(back.px - d.px) <= 1e-15
             assert abs(back.delta - d.delta) <= 1e-15
@@ -154,7 +155,7 @@ class TestSixstateChannel:
 
 def test_swap_xz_is_involution():
     for c in random_channels(100, seed=103):
-        assert c.swap_xz().swap_xz() == c
+        assert swap_xz(swap_xz(c)) == c
 
 
 def test_to_dict_carries_both_coordinate_systems():

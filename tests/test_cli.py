@@ -49,6 +49,24 @@ class TestThresholdCommand:
         assert code == 1
         assert "--sequence" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "sixstate", "--sequence", "B", "--tol", "0.4"], "--tol/--family: tol must"),
+            (["--family", "sixstate", "--sequence", "B", "--tol", "nan"], "--tol/--family: tol must"),
+            (["--family", "bb84", "--sequence", "BBBBB", "--margin", "nan"],
+             "--sequence/--margin: css_margin must"),
+            (["--family", "bb84", "--sequence", "BBBBB", "--margin", "inf"],
+             "--sequence/--margin: css_margin must"),
+        ],
+        ids=["tol-0.4", "tol-nan", "margin-nan", "margin-inf"],
+    )
+    def test_invalid_tolerance_or_margin_exits_1(self, capsys, argv, message):
+        code, out, err = run_capture(capsys, ["threshold", *argv])
+        assert code == 1
+        assert out == ""
+        assert message in err
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run_capture(
             capsys,

@@ -17,7 +17,13 @@ from twoway_qkd import (
     sixstate_channel,
     worst_case_scan,
 )
-from twoway_qkd.convergence import MAX_ROUNDS, _converges, _is_monotone, channel_for_family
+from twoway_qkd.convergence import (
+    BRACKET_UPPER,
+    MAX_ROUNDS,
+    _converges,
+    _is_monotone,
+    channel_for_family,
+)
 
 
 class TestCssKeyFraction:
@@ -71,6 +77,12 @@ class TestSequenceParsing:
         with pytest.raises(ValueError, match="max_rounds"):
             parse_sequence("alt:-1")
 
+    @pytest.mark.parametrize("text", ["BBBBB", "alt:200"])
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+    def test_non_finite_margin_rejected(self, text, margin):
+        with pytest.raises(ValueError, match="css_margin"):
+            parse_sequence(text, css_margin=margin)
+
     def test_empty_fixed_sequence_rejected(self):
         with pytest.raises(ValueError):
             parse_sequence("")
@@ -78,8 +90,9 @@ class TestSequenceParsing:
             StepSequence(steps=(), policy="fixed")
 
     def test_alternation_kind_schedule(self):
-        seq = StepSequence.alternating(4)
-        assert [seq.kind_at(i) for i in (1, 2, 3, 4)] == [
+        # six-state p = 0.3 lies above the alternation's threshold
+        t = evolve(StepSequence.alternating(4), sixstate_channel(0.3))
+        assert [r.kind for r in t.records] == [
             StepKind.B,
             StepKind.P,
             StepKind.B,
@@ -208,6 +221,15 @@ class TestFindThreshold:
     def test_too_small_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tol"):
             find_threshold(StepSequence.fixed("B"), "sixstate", tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "tol, upper",
+        [(float("nan"), BRACKET_UPPER), (0.4, BRACKET_UPPER), (BRACKET_UPPER, BRACKET_UPPER),
+         (float("inf"), BRACKET_UPPER), (0.2, 0.2)],
+    )
+    def test_tolerance_must_lie_below_the_bracket(self, tol, upper):
+        with pytest.raises(ValueError, match="tol"):
+            find_threshold(StepSequence.fixed("B"), "sixstate", tol=tol, upper=upper)
 
     def test_zero_threshold_when_nothing_converges(self):
         # a near-unit margin is unreachable: 1 - h(f1) - h(f2) < 1 off p = 0

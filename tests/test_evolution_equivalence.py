@@ -14,11 +14,22 @@ from twoway_qkd.convergence import (
     css_key_fraction,
     find_threshold,
 )
-from twoway_qkd.steps import _RATE_FUNCS, DegenerateStepError, apply_step
+from twoway_qkd.steps import _RATE_FUNCS, DegenerateStepError, StepKind
+
+
+def kind_at(seq, index):
+    """Step kind of 1-based round ``index`` of ``seq``."""
+    if seq.policy == ALTERNATING:
+        return StepKind.B if index % 2 == 1 else StepKind.P
+    return seq.steps[index - 1]
 
 
 def reference_evolve(seq, c, prepare_and_measure=False):
-    """Recording loop that applies every round through ``apply_step``."""
+    """Recording loop that builds a channel after every round.
+
+    The yield factor of a round is ``0.5 * ps`` for B and Bx and ``1/3``
+    for P.
+    """
     margin = seq.css_margin
     records = []
     cur = c
@@ -46,20 +57,20 @@ def reference_evolve(seq, c, prepare_and_measure=False):
         n_steps = len(seq.steps)
 
     for index in range(1, n_steps + 1):
-        kind = seq.kind_at(index)
+        kind = kind_at(seq, index)
         if prepare_and_measure and kind.epp_only:
             raise ProtocolClassError(
                 f"step {kind} is EPP-only and cannot appear in a "
                 "prepare-and-measure sequence"
             )
         try:
-            outcome = apply_step(kind, cur)
+            qx, qy, qz, ps = _RATE_FUNCS[kind](cur.qx, cur.qy, cur.qz)
         except DegenerateStepError as exc:
             diagnostic = f"degenerate step {index} ({kind}): {exc}"
             return finish(False)
-        cur = outcome.params_after
-        cum_yield *= outcome.yield_factor
-        records.append(TrajectoryRecord(index, kind, cur, outcome.survival_prob, cum_yield))
+        cur = PauliChannelParams(qx, qy, qz)
+        cum_yield *= 1.0 / 3.0 if kind is StepKind.P else 0.5 * ps
+        records.append(TrajectoryRecord(index, kind, cur, ps, cum_yield))
         if seq.policy == ALTERNATING and css_key_fraction(cur.pz, cur.px) > margin:
             return finish(True)
 
@@ -81,7 +92,7 @@ def reference_converges(seq, c):
         n_steps = len(seq.steps)
     for index in range(1, n_steps + 1):
         try:
-            qx, qy, qz, _ = _RATE_FUNCS[seq.kind_at(index)](qx, qy, qz)
+            qx, qy, qz, _ = _RATE_FUNCS[kind_at(seq, index)](qx, qy, qz)
         except DegenerateStepError:
             return False
         if seq.policy == ALTERNATING and css_key_fraction(qx + qy, qy + qz) > margin:

@@ -1,11 +1,12 @@
 """Monte Carlo layer: flag ensembles, bit-level protocol runs, attacks."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import random_channels
+from conftest import one_round, random_channels
 from twoway_qkd import (
     PauliChannelParams,
     ProtocolClassError,
@@ -13,16 +14,13 @@ from twoway_qkd import (
     StepSequence,
     bb84_family,
     estimate_rates,
+    flag_round,
     intercept_resend,
-    mc_b_step,
-    mc_bx_step,
-    mc_p_step,
     sample_flags,
     simulate_protocol2_bits,
     sixstate_channel,
 )
 from twoway_qkd.montecarlo import FlagEnsemble
-from twoway_qkd.steps import apply_step
 
 
 def assert_within_5_sigma(q_hat: float, q_true: float, n: int) -> None:
@@ -84,7 +82,6 @@ class TestEstimateRates:
             np.array([], dtype=np.uint8),
             np.array([], dtype=np.uint8),
             seed=0,
-            params=PauliChannelParams(0, 0, 0),
         )
         with pytest.raises(ValueError, match="empty"):
             estimate_rates(empty)
@@ -93,8 +90,8 @@ class TestEstimateRates:
 class TestFlagSteps:
     def test_b_step_matches_closed_form(self):
         c = PauliChannelParams(0.10, 0.0, 0.10)
-        out = mc_b_step(sample_flags(c, 1_000_000, seed=11))
-        analytic = apply_step(StepKind.B, c).params_after
+        out = flag_round(sample_flags(c, 1_000_000, seed=11), StepKind.B)
+        analytic = one_round(StepKind.B, c).params
         est = estimate_rates(out)
         assert_within_5_sigma(est.qx_hat, analytic.qx, est.n)
         assert_within_5_sigma(est.qy_hat, analytic.qy, est.n)
@@ -103,7 +100,7 @@ class TestFlagSteps:
         assert abs(len(out) / 1_000_000 - 0.41) < 0.005
 
     def test_b_step_noiseless_keeps_half(self):
-        out = mc_b_step(sample_flags(PauliChannelParams(0, 0, 0), 10_001, seed=12))
+        out = flag_round(sample_flags(PauliChannelParams(0, 0, 0), 10_001, seed=12), StepKind.B)
         assert len(out) == 5000
         assert not out.x.any()
         assert not out.z.any()
@@ -111,61 +108,74 @@ class TestFlagSteps:
     def test_b_step_pure_z_keeps_every_pair(self):
         # no bit-flip flags, so every parity check agrees: exactly n//2 kept
         n = 1_000_000
-        out = mc_b_step(sample_flags(PauliChannelParams(0, 0, 0.3), n, seed=13))
+        out = flag_round(sample_flags(PauliChannelParams(0, 0, 0.3), n, seed=13), StepKind.B)
         assert len(out) == n // 2
         est = estimate_rates(out)
         assert_within_5_sigma(est.qz_hat, 0.42, est.n)
 
     def test_p_step_matches_closed_form(self):
         c = PauliChannelParams(0.0, 0.0, 0.1)
-        out = mc_p_step(sample_flags(c, 1_000_000, seed=14))
+        out = flag_round(sample_flags(c, 1_000_000, seed=14), StepKind.P)
         est = estimate_rates(out)
         assert_within_5_sigma(est.qz_hat, 0.028, est.n)
 
     def test_p_step_noiseless_keeps_third(self):
-        out = mc_p_step(sample_flags(PauliChannelParams(0, 0, 0), 9_999, seed=15))
+        out = flag_round(sample_flags(PauliChannelParams(0, 0, 0), 9_999, seed=15), StepKind.P)
         assert len(out) == 3333
         assert not out.x.any()
 
     def test_p_step_bit_error_growth(self):
-        out = mc_p_step(sample_flags(PauliChannelParams(0.1, 0, 0), 1_000_000, seed=16))
+        out = flag_round(sample_flags(PauliChannelParams(0.1, 0, 0), 1_000_000, seed=16), StepKind.P)
         est = estimate_rates(out)
         assert_within_5_sigma(est.qx_hat, 0.244, est.n)
 
     def test_bx_step_mirrors_b_step(self):
         c = PauliChannelParams(0.10, 0.0, 0.10)
-        out = mc_bx_step(sample_flags(c, 500_000, seed=17))
-        analytic = apply_step(StepKind.BX, c).params_after
+        out = flag_round(sample_flags(c, 500_000, seed=17), StepKind.BX)
+        analytic = one_round(StepKind.BX, c).params
         est = estimate_rates(out)
         assert_within_5_sigma(est.qx_hat, analytic.qx, est.n)
         assert_within_5_sigma(est.qz_hat, analytic.qz, est.n)
 
     def test_steps_deterministic_under_seed(self):
         c = PauliChannelParams(0.1, 0.05, 0.08)
-        a = mc_b_step(sample_flags(c, 10_000, seed=18))
-        b = mc_b_step(sample_flags(c, 10_000, seed=18))
+        a = flag_round(sample_flags(c, 10_000, seed=18), StepKind.B)
+        b = flag_round(sample_flags(c, 10_000, seed=18), StepKind.B)
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.z, b.z)
 
+    def test_flags_pinned_after_b_p_bx(self):
+        # Digest of the flags after each of a B, a P and a Bx round: the
+        # random blocks of a seed are fixed for good.
+        e = sample_flags(PauliChannelParams(0.1, 0.05, 0.08), 10_000, seed=21)
+        digest = hashlib.sha256()
+        for kind in (StepKind.B, StepKind.P, StepKind.BX):
+            e = flag_round(e, kind)
+            digest.update(e.x.tobytes())
+            digest.update(e.z.tobytes())
+        assert (len(e), e.round_index) == (526, 3)
+        assert digest.hexdigest() == (
+            "18edd6472ed7207c1bad74f3c049f4695f351aa4b1b6c90d0cf3043744c4ed57"
+        )
+
     def test_round_index_advances(self):
         e = sample_flags(PauliChannelParams(0.05, 0.02, 0.02), 10_000, seed=19)
-        e2 = mc_b_step(e)
+        e2 = flag_round(e, StepKind.B)
         assert e2.round_index == 1
-        e3 = mc_p_step(e2)
+        e3 = flag_round(e2, StepKind.P)
         assert e3.round_index == 2
 
     def test_population_too_small_rejected(self):
         e = sample_flags(PauliChannelParams(0, 0, 0), 2, seed=0)
         with pytest.raises(ValueError, match="at least 3"):
-            mc_p_step(e)
+            flag_round(e, StepKind.P)
         one = FlagEnsemble(
             np.zeros(1, dtype=np.uint8),
             np.zeros(1, dtype=np.uint8),
             seed=0,
-            params=PauliChannelParams(0, 0, 0),
         )
         with pytest.raises(ValueError, match="at least 2"):
-            mc_b_step(one)
+            flag_round(one, StepKind.B)
 
 
 class TestProtocol2Bits:
@@ -211,8 +221,8 @@ class TestProtocol2Bits:
         # both layers must match the analytic B-step keep statistics
         c = bb84_family(0.12, 0.0)
         n = 400_000
-        ps = apply_step(StepKind.B, c).survival_prob
-        flags = mc_b_step(sample_flags(c, n, seed=5))
+        ps = one_round(StepKind.B, c).survival_prob
+        flags = flag_round(sample_flags(c, n, seed=5), StepKind.B)
         rep = simulate_protocol2_bits(c, StepSequence.fixed("B"), n, seed=5)
         sigma = math.sqrt(0.5 * ps * (1 - 0.5 * ps) / n)
         assert abs(len(flags) / n - 0.5 * ps) <= 5 * sigma
@@ -250,9 +260,9 @@ class TestInterceptResend:
 class TestFlagStepAgreementSampled:
     def test_twenty_random_channels(self):
         for i, c in enumerate(random_channels(20, seed=42, scale=0.9)):
-            for kind, mc_step in ((StepKind.B, mc_b_step), (StepKind.P, mc_p_step)):
-                out = mc_step(sample_flags(c, 200_000, seed=700 + i))
-                analytic = apply_step(kind, c).params_after
+            for kind in (StepKind.B, StepKind.P):
+                out = flag_round(sample_flags(c, 200_000, seed=700 + i), kind)
+                analytic = one_round(kind, c).params
                 est = estimate_rates(out)
                 assert_within_5_sigma(est.qx_hat, analytic.qx, est.n)
                 assert_within_5_sigma(est.qy_hat, analytic.qy, est.n)

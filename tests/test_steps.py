@@ -1,88 +1,91 @@
-"""Distillation-step maps: closed forms, enumeration oracle, delta coords."""
+"""Distillation-step maps against the enumeration and delta-coordinate oracles."""
 
 import numpy as np
 import pytest
 
-from conftest import random_channels
-from twoway_qkd import (
+from conftest import one_round, random_channels
+from oracles import (
     DeltaCoords,
-    PauliChannelParams,
-    StepKind,
-    b_step,
     b_step_delta,
-    bb84_family,
-    bx_step,
     enumerate_step_exact,
-    p_step,
     p_step_delta,
+    rates_in_delta,
+    swap_xz,
+    to_delta,
 )
-from twoway_qkd.steps import apply_step, _b_delta, _p_delta
+from twoway_qkd import PauliChannelParams, StepKind, bb84_family
+from twoway_qkd.steps import _RATE_FUNCS
+
+
+def rates(kind, c):
+    """The package's map for ``kind`` applied to ``c``: (qx', qy', qz', ps)."""
+    return _RATE_FUNCS[kind](c.qx, c.qy, c.qz)
 
 
 class TestBStep:
     def test_noiseless_fixed_point(self):
-        out = b_step(PauliChannelParams(0, 0, 0))
-        assert out.params_after == PauliChannelParams(0, 0, 0)
+        out = one_round(StepKind.B, PauliChannelParams(0, 0, 0))
+        assert out.params == PauliChannelParams(0, 0, 0)
         assert out.survival_prob == 1.0
-        assert out.yield_factor == 0.5
+        assert out.cumulative_yield == 0.5
 
     def test_no_y_example(self):
         # 16-configuration enumeration: qx' = 0.01/0.82, qz' = 0.16/0.82
-        out = b_step(PauliChannelParams(0.10, 0.0, 0.10))
-        assert out.params_after.qx == pytest.approx(0.01 / 0.82, abs=1e-15)
-        assert out.params_after.qy == 0.0
-        assert out.params_after.qz == pytest.approx(0.16 / 0.82, abs=1e-15)
+        out = one_round(StepKind.B, PauliChannelParams(0.10, 0.0, 0.10))
+        assert out.params.qx == pytest.approx(0.01 / 0.82, abs=1e-15)
+        assert out.params.qy == 0.0
+        assert out.params.qz == pytest.approx(0.16 / 0.82, abs=1e-15)
         assert out.survival_prob == pytest.approx(0.82, abs=1e-15)
-        assert out.yield_factor == pytest.approx(0.41, abs=1e-15)
+        assert out.cumulative_yield == pytest.approx(0.41, abs=1e-15)
 
     def test_half_bit_rate_is_fixed_point(self):
-        out = b_step(PauliChannelParams(0.5, 0.0, 0.0))
-        assert out.params_after.qx == pytest.approx(0.5, abs=1e-15)
+        out = one_round(StepKind.B, PauliChannelParams(0.5, 0.0, 0.0))
+        assert out.params.qx == pytest.approx(0.5, abs=1e-15)
         assert out.survival_prob == pytest.approx(0.5, abs=1e-15)
 
 
 class TestPStep:
     def test_noiseless_fixed_point(self):
-        out = p_step(PauliChannelParams(0, 0, 0))
-        assert out.params_after == PauliChannelParams(0, 0, 0)
+        out = one_round(StepKind.P, PauliChannelParams(0, 0, 0))
+        assert out.params == PauliChannelParams(0, 0, 0)
         assert out.survival_prob == 1.0
-        assert out.yield_factor == pytest.approx(1 / 3, abs=0)
+        assert out.cumulative_yield == pytest.approx(1 / 3, abs=0)
 
     def test_pure_phase_suppression(self):
         # majority vote: z' = 3 z^2 (1 - z) + z^3 = 0.028 at z = 0.1
-        out = p_step(PauliChannelParams(0.0, 0.0, 0.1))
-        assert out.params_after.qx == 0.0
-        assert out.params_after.qy == 0.0
-        assert out.params_after.qz == pytest.approx(0.028, abs=1e-15)
+        qx, qy, qz, _ = rates(StepKind.P, PauliChannelParams(0.0, 0.0, 0.1))
+        assert qx == 0.0
+        assert qy == 0.0
+        assert qz == pytest.approx(0.028, abs=1e-15)
 
     def test_bit_errors_grow_threefold(self):
         # parity of three: x' = 3 qi^2 qx + qx^3 = 0.244 at qx = 0.1
-        out = p_step(PauliChannelParams(0.1, 0.0, 0.0))
-        assert out.params_after.qx == pytest.approx(0.244, abs=1e-15)
-        assert out.params_after.qy == 0.0
-        assert out.params_after.qz == 0.0
+        qx, qy, qz, _ = rates(StepKind.P, PauliChannelParams(0.1, 0.0, 0.0))
+        assert qx == pytest.approx(0.244, abs=1e-15)
+        assert qy == 0.0
+        assert qz == 0.0
 
 
 class TestBxStep:
     def test_noiseless_fixed_point(self):
-        out = bx_step(PauliChannelParams(0, 0, 0))
-        assert out.params_after == PauliChannelParams(0, 0, 0)
+        out = one_round(StepKind.BX, PauliChannelParams(0, 0, 0))
+        assert out.params == PauliChannelParams(0, 0, 0)
 
     def test_mirror_of_b_step_example(self):
-        out = bx_step(PauliChannelParams(0.10, 0.0, 0.10))
-        assert out.params_after.qz == pytest.approx(0.01 / 0.82, abs=1e-15)
-        assert out.params_after.qx == pytest.approx(0.16 / 0.82, abs=1e-15)
+        qx, _, qz, _ = rates(StepKind.BX, PauliChannelParams(0.10, 0.0, 0.10))
+        assert qz == pytest.approx(0.01 / 0.82, abs=1e-15)
+        assert qx == pytest.approx(0.16 / 0.82, abs=1e-15)
 
     def test_conjugation_identity(self):
         # bx = swap_xz . b . swap_xz
         for c in random_channels(300, seed=21):
-            direct = bx_step(c)
-            conj = b_step(c.swap_xz())
-            mirrored = conj.params_after.swap_xz()
-            assert abs(direct.params_after.qx - mirrored.qx) <= 1e-15
-            assert abs(direct.params_after.qy - mirrored.qy) <= 1e-15
-            assert abs(direct.params_after.qz - mirrored.qz) <= 1e-15
-            assert abs(direct.survival_prob - conj.survival_prob) <= 1e-15
+            qx, qy, qz, ps = rates(StepKind.BX, c)
+            cqx, cqy, cqz, cps = rates(StepKind.B, swap_xz(c))
+            mirrored = swap_xz(PauliChannelParams(cqx, cqy, cqz))
+            assert abs(qx - mirrored.qx) <= 1e-15
+            assert abs(qy - mirrored.qy) <= 1e-15
+            assert abs(qz - mirrored.qz) <= 1e-15
+            assert abs(ps - cps) <= 1e-15
 
     def test_flagged_epp_only(self):
         assert StepKind.BX.epp_only
@@ -100,8 +103,8 @@ class TestDeltaMaps:
         assert d.pz == pytest.approx(0.5, abs=1e-15)
 
     def test_b_matches_qxyz_map_on_family(self):
-        d = b_step_delta(bb84_family(0.20, 0.0).to_delta())
-        ref = b_step(bb84_family(0.20, 0.0)).params_after.to_delta()
+        d = b_step_delta(to_delta(bb84_family(0.20, 0.0)))
+        ref = to_delta(one_round(StepKind.B, bb84_family(0.20, 0.0)).params)
         assert d.pz == pytest.approx(ref.pz, abs=1e-12)
         assert d.px == pytest.approx(ref.px, abs=1e-12)
         assert d.delta == pytest.approx(ref.delta, abs=1e-12)
@@ -116,10 +119,10 @@ class TestDeltaMaps:
 
     def test_coordinate_commutation_sampled(self):
         for c in random_channels(2000, seed=22):
-            d = c.to_delta()
-            for delta_map, channel_map in ((b_step_delta, b_step), (p_step_delta, p_step)):
+            d = to_delta(c)
+            for delta_map, kind in ((b_step_delta, StepKind.B), (p_step_delta, StepKind.P)):
                 via_delta = delta_map(d)
-                via_channel = channel_map(c).params_after.to_delta()
+                via_channel = to_delta(PauliChannelParams(*rates(kind, c)[:3]))
                 assert abs(via_delta.pz - via_channel.pz) <= 1e-12
                 assert abs(via_delta.px - via_channel.px) <= 1e-12
                 assert abs(via_delta.delta - via_channel.delta) <= 1e-12
@@ -128,35 +131,36 @@ class TestDeltaMaps:
 class TestEnumerationOracle:
     def test_identity_channel(self):
         for kind in StepKind:
-            out = enumerate_step_exact(kind, PauliChannelParams(0, 0, 0))
-            assert out.params_after == PauliChannelParams(0, 0, 0)
-            assert out.survival_prob == 1.0
+            params, survival, _ = enumerate_step_exact(kind, PauliChannelParams(0, 0, 0))
+            assert params == PauliChannelParams(0, 0, 0)
+            assert survival == 1.0
 
     def test_b_step_equality_on_example(self):
         c = PauliChannelParams(0.10, 0.0, 0.10)
-        a, b = b_step(c), enumerate_step_exact(StepKind.B, c)
-        assert abs(a.params_after.qx - b.params_after.qx) <= 1e-15
-        assert abs(a.params_after.qz - b.params_after.qz) <= 1e-15
-        assert abs(a.survival_prob - b.survival_prob) <= 1e-15
+        qx, _, qz, ps = rates(StepKind.B, c)
+        params, survival, _ = enumerate_step_exact(StepKind.B, c)
+        assert abs(qx - params.qx) <= 1e-15
+        assert abs(qz - params.qz) <= 1e-15
+        assert abs(ps - survival) <= 1e-15
 
     def test_p_step_polynomials_reproduced(self):
         # term-by-term friendly input: only the 3 qi^2 qx and qx^3 terms fire
         c = PauliChannelParams(0.1, 0.0, 0.0)
-        out = enumerate_step_exact(StepKind.P, c)
-        assert out.params_after.qx == pytest.approx(3 * 0.9**2 * 0.1 + 0.1**3, abs=1e-15)
-        assert out.params_after.qy == 0.0
-        assert out.params_after.qz == 0.0
+        params, _, _ = enumerate_step_exact(StepKind.P, c)
+        assert params.qx == pytest.approx(3 * 0.9**2 * 0.1 + 0.1**3, abs=1e-15)
+        assert params.qy == 0.0
+        assert params.qz == 0.0
 
     def test_equality_all_kinds_sampled(self):
         for c in random_channels(1000, seed=23):
             for kind in StepKind:
-                a = apply_step(kind, c)
-                b = enumerate_step_exact(kind, c)
-                assert abs(a.params_after.qx - b.params_after.qx) <= 1e-15
-                assert abs(a.params_after.qy - b.params_after.qy) <= 1e-15
-                assert abs(a.params_after.qz - b.params_after.qz) <= 1e-15
-                assert abs(a.survival_prob - b.survival_prob) <= 1e-15
-                assert abs(a.yield_factor - b.yield_factor) <= 1e-15
+                a = one_round(kind, c)
+                params, survival, yield_factor = enumerate_step_exact(kind, c)
+                assert abs(a.params.qx - params.qx) <= 1e-15
+                assert abs(a.params.qy - params.qy) <= 1e-15
+                assert abs(a.params.qz - params.qz) <= 1e-15
+                assert abs(a.survival_prob - survival) <= 1e-15
+                assert abs(a.cumulative_yield - yield_factor) <= 1e-15
 
 
 class TestSimplexPreservation:
@@ -164,28 +168,29 @@ class TestSimplexPreservation:
         # PauliChannelParams construction re-validates the invariants
         for c in random_channels(10_000, seed=24):
             for kind in StepKind:
-                out = apply_step(kind, c)
-                total = out.params_after.qx + out.params_after.qy + out.params_after.qz
+                out = one_round(kind, c)
+                total = out.params.qx + out.params.qy + out.params.qz
                 assert total <= 1.0 + 1e-12
                 assert 0.0 <= out.survival_prob <= 1.0
-                assert 0.0 < out.yield_factor <= 0.5
+                assert 0.0 < out.cumulative_yield <= 0.5
 
 
 class TestYieldBounds:
     def test_b_yield_at_most_half(self):
         for c in random_channels(500, seed=25):
-            assert apply_step(StepKind.B, c).yield_factor <= 0.5
-            assert apply_step(StepKind.BX, c).yield_factor <= 0.5
+            assert one_round(StepKind.B, c).cumulative_yield <= 0.5
+            assert one_round(StepKind.BX, c).cumulative_yield <= 0.5
 
     def test_p_yield_is_exactly_one_third(self):
         for c in random_channels(100, seed=26):
-            assert apply_step(StepKind.P, c).yield_factor == 1.0 / 3.0
+            assert one_round(StepKind.P, c).cumulative_yield == 1.0 / 3.0
 
 
 class TestMonotonicity:
     """Finite-difference check: delta' and px' non-decreasing in delta and px
 
-    in the regime pz, px < 1/2, delta >= 0, 1 - 2 pz - 2 delta > 0.
+    in the regime pz, px < 1/2, delta >= 0, 1 - 2 pz - 2 delta > 0, for the
+    package's maps read in (pz, px, delta) coordinates.
     """
 
     @staticmethod
@@ -209,26 +214,26 @@ class TestMonotonicity:
     def test_b_step_monotone_in_delta_and_px(self):
         eps = 1e-7
         for pz, px, delta in self._sample_points(400, seed=27):
-            _, px1, d1 = _b_delta(pz, px, delta)
+            _, px1, d1 = rates_in_delta(StepKind.B, pz, px, delta)
             if delta + eps <= min(px, (1.0 - 2.0 * pz) / 2.0):
-                _, px2, d2 = _b_delta(pz, px, delta + eps)
+                _, px2, d2 = rates_in_delta(StepKind.B, pz, px, delta + eps)
                 assert d2 >= d1 - 1e-12
                 assert px2 >= px1 - 1e-12
             if px + eps < 0.5 and delta <= px:
-                _, px3, d3 = _b_delta(pz, px + eps, delta)
+                _, px3, d3 = rates_in_delta(StepKind.B, pz, px + eps, delta)
                 assert d3 >= d1 - 1e-12
                 assert px3 >= px1 - 1e-12
 
     def test_p_step_monotone_in_delta_and_px(self):
         eps = 1e-7
         for pz, px, delta in self._sample_points(400, seed=28):
-            _, px1, d1 = _p_delta(pz, px, delta)
+            _, px1, d1 = rates_in_delta(StepKind.P, pz, px, delta)
             if delta + eps <= min(px, (1.0 - 2.0 * pz) / 2.0):
-                _, px2, d2 = _p_delta(pz, px, delta + eps)
+                _, px2, d2 = rates_in_delta(StepKind.P, pz, px, delta + eps)
                 assert d2 >= d1 - 1e-12
                 assert px2 >= px1 - 1e-12
             if px + eps < 0.5 and delta <= px:
-                _, px3, d3 = _p_delta(pz, px + eps, delta)
+                _, px3, d3 = rates_in_delta(StepKind.P, pz, px + eps, delta)
                 assert d3 >= d1 - 1e-12
                 assert px3 >= px1 - 1e-12
 
@@ -240,11 +245,11 @@ class TestWorstCaseClaim:
         rng = np.random.default_rng(29)
         for p in np.linspace(0.01, 0.24, 12):
             for delta0 in (-p, -0.5 * p, 0.0, 0.5 * p, p):
-                pz, px, delta = _b_delta(p, p, delta0)
+                pz, px, delta = rates_in_delta(StepKind.B, p, p, delta0)
                 assert delta >= -1e-12
                 for _ in range(30):
-                    step = _b_delta if rng.random() < 0.5 else _p_delta
-                    pz, px, delta = step(pz, px, delta)
+                    kind = StepKind.B if rng.random() < 0.5 else StepKind.P
+                    pz, px, delta = rates_in_delta(kind, pz, px, delta)
                     assert delta >= -1e-12
 
     def test_margin_condition_preserved_from_family_starts(self):
@@ -253,8 +258,8 @@ class TestWorstCaseClaim:
             for delta0 in (-p, 0.0, p):
                 pz, px, delta = p, p, delta0
                 assert 1.0 - 2.0 * pz - 2.0 * delta > 0.0
-                pz, px, delta = _b_delta(pz, px, delta)
+                pz, px, delta = rates_in_delta(StepKind.B, pz, px, delta)
                 for _ in range(30):
                     assert 1.0 - 2.0 * pz - 2.0 * delta > -1e-12
-                    step = _b_delta if rng.random() < 0.5 else _p_delta
-                    pz, px, delta = step(pz, px, delta)
+                    kind = StepKind.B if rng.random() < 0.5 else StepKind.P
+                    pz, px, delta = rates_in_delta(kind, pz, px, delta)
