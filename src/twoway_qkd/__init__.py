@@ -47,12 +47,11 @@ from .montecarlo import (
     sample_flags,
     simulate_protocol2_bits,
 )
-from .steps import DegenerateStepError, ProtocolClassError, StepKind
+from .steps import ProtocolClassError, StepKind
 
 __all__ = [
     "AttackReport",
     "BoundsTable",
-    "DegenerateStepError",
     "EmpiricalRates",
     "FlagEnsemble",
     "KeyRateReport",

@@ -20,14 +20,13 @@ import sys
 from . import convergence, keyrates, montecarlo
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError
-from .steps import ProtocolClassError
 
 SCHEMA_VERSION = 1
 FLOAT_DIGITS = 9
 
 
 class UsageError(ValueError):
-    """Bad command line; maps to exit status 1."""
+    """Bad command line; maps to exit status 1, as every ValueError does."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,11 +123,12 @@ def _cmd_evolve(args) -> None:
     net_rate = None
     if traj.converged:
         net_rate = keyrates.two_way_net_rate(traj).rate
+    rows = traj.to_rows()
     payload = {
         "command": "evolve",
         "sequence": str(seq),
         "channel": channel.to_dict(),
-        "records": traj.to_rows(),
+        "records": rows,
         "final": {
             "bit_rate": traj.final_bit_rate,
             "phase_rate": traj.final_phase_rate,
@@ -139,7 +139,7 @@ def _cmd_evolve(args) -> None:
             "diagnostic": traj.diagnostic,
         },
     }
-    _emit(args, payload, rows=traj.to_rows())
+    _emit(args, payload, rows=rows)
 
 
 _RATE_FNS = {
@@ -184,26 +184,35 @@ def _cmd_keyrate(args) -> None:
     _emit(args, {"command": "keyrate", **report.to_dict()})
 
 
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed: must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
 def _cmd_simulate(args) -> None:
     seq = _sequence(args)
     channel = _channel(args)
-    report = montecarlo.simulate_protocol2_bits(channel, seq, args.n, args.seed)
+    report = montecarlo.simulate_protocol2_bits(channel, seq, args.n, _seed(args))
     payload = {"command": "simulate", **report.to_dict()}
     _emit(args, payload, rows=[r.to_dict() for r in report.rounds])
 
 
 def _cmd_attack(args) -> None:
     report = montecarlo.intercept_resend(
-        args.protocol, args.n, args.seed, eve_matches_basis=args.eve_matches_basis
+        args.protocol, args.n, _seed(args), eve_matches_basis=args.eve_matches_basis
     )
     _emit(args, {"command": "attack", **report.to_dict()})
 
 
 def _cmd_optimize(args) -> None:
     family = "bb84_worst" if args.family == "bb84" else args.family
-    best_seq, best = convergence.optimize_sequence(
-        family, args.max_len, tol=args.tol, css_margin=args.margin
-    )
+    try:
+        best_seq, best = convergence.optimize_sequence(
+            family, args.max_len, tol=args.tol, css_margin=args.margin
+        )
+    except ValueError as exc:
+        raise UsageError(f"--tol/--max-len/--margin: {exc}")
     payload = {
         "command": "optimize",
         "family": family,
@@ -305,18 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ProtocolClassError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, ProtocolClassError, validation
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

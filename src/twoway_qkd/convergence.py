@@ -17,12 +17,7 @@ from math import isfinite, nan
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError, binary_entropy, one_minus_binary_entropy
-from .steps import (
-    DegenerateStepError,
-    ProtocolClassError,
-    StepKind,
-    _RATE_FUNCS,
-)
+from .steps import ProtocolClassError, StepKind, _RATE_FUNCS
 
 FIXED = "fixed"
 ALTERNATING = "alternating_until_css"
@@ -196,24 +191,25 @@ def _evolve_rounds(
     c: PauliChannelParams,
     records: list[TrajectoryRecord] | None = None,
     prepare_and_measure: bool = False,
-) -> tuple[bool, str | None]:
+) -> bool:
     """Evolution kernel of :func:`evolve` and :func:`_converges`.
 
     Applies ``seq``'s rounds to raw (qx, qy, qz) floats with the maps in
-    ``_RATE_FUNCS`` and returns (converged, diagnostic).  When ``records``
-    is a list, one :class:`TrajectoryRecord` per round is appended to it.
+    ``_RATE_FUNCS`` and returns the CSS verdict.  When ``records`` is a
+    list, one :class:`TrajectoryRecord` per round is appended to it.
 
     An alternating run stops early once the state after round i equals the
     state after round i - 2: both states have failed the CSS test, and the
     maps are deterministic, so rounds i + 1, i + 2, ... repeat rounds i - 1
-    and i for good.  The records of the rounds left repeat those two.
+    and i for good.  The record of each round left copies the record two
+    rounds back, which has the same kind, and its yield factor.
     """
     margin = seq.css_margin
     qx, qy, qz = c.qx, c.qy, c.qz
     alternating = seq.policy == ALTERNATING
     if alternating:
         if css_key_fraction(qx + qy, qy + qz) > margin:
-            return True, None
+            return True
         kinds = islice(cycle((StepKind.B, StepKind.P)), seq.max_rounds)
         before_last = last = None  # states after rounds i - 2 and i - 1
     else:
@@ -226,10 +222,7 @@ def _evolve_rounds(
                 f"step {kind} is EPP-only and cannot appear in a "
                 "prepare-and-measure sequence"
             )
-        try:
-            qx, qy, qz, ps = maps[kind](qx, qy, qz)
-        except DegenerateStepError as exc:
-            return False, f"degenerate step {index} ({kind}): {exc}"
+        qx, qy, qz, ps = maps[kind](qx, qy, qz)
         if records is not None:
             cum_yield *= ps / kind.block_size
             records.append(
@@ -238,22 +231,18 @@ def _evolve_rounds(
         if alternating:
             state = (qx, qy, qz)
             if state == before_last:
-                if records is not None:  # each round left repeats the last of its kind
-                    last_of = {
-                        r.kind: (r.params, r.survival_prob, r.survival_prob / r.kind.block_size)
-                        for r in records[-2:]
-                    }
-                    for index, kind in enumerate(kinds, index + 1):
-                        params, ps, factor = last_of[kind]
+                if records is not None:  # the rounds left repeat rounds i - 1 and i
+                    pair = cycle([(r, r.survival_prob / r.kind.block_size) for r in records[-2:]])
+                    for index, (r, factor) in zip(range(index + 1, seq.max_rounds + 1), pair):
                         cum_yield *= factor
-                        records.append(TrajectoryRecord(index, kind, params, ps, cum_yield))
-                break
+                        records.append(
+                            TrajectoryRecord(index, r.kind, r.params, r.survival_prob, cum_yield)
+                        )
+                return False
             if css_key_fraction(qx + qy, qy + qz) > margin:
-                return True, None
+                return True
             before_last, last = last, state
-    if alternating:
-        return False, f"no CSS viability within {seq.max_rounds} rounds"
-    return css_key_fraction(qx + qy, qy + qz) > margin, None
+    return not alternating and css_key_fraction(qx + qy, qy + qz) > margin
 
 
 def evolve(
@@ -263,12 +252,13 @@ def evolve(
 ) -> Trajectory:
     """Apply a step sequence to a channel and test CSS viability.
 
-    With ``prepare_and_measure`` set, EPP-only steps (Bx) are rejected.  A
-    degenerate round (survival ~ 0) terminates the trajectory as
-    non-converged with a diagnostic rather than raising.
+    With ``prepare_and_measure`` set, EPP-only steps (Bx) are rejected.  An
+    alternating run that never reaches CSS viability is non-converged with
+    the diagnostic ``no CSS viability within N rounds``.
     """
     records: list[TrajectoryRecord] = []
-    converged, diagnostic = _evolve_rounds(seq, c, records, prepare_and_measure)
+    converged = _evolve_rounds(seq, c, records, prepare_and_measure)
+    diverged = seq.policy == ALTERNATING and not converged
     cur = records[-1].params if records else c
     f1, f2 = cur.pz, cur.px
     return Trajectory(
@@ -279,13 +269,13 @@ def evolve(
         final_phase_rate=f2,
         css_rate=css_key_fraction(f1, f2),
         converged=converged,
-        diagnostic=diagnostic,
+        diagnostic=f"no CSS viability within {seq.max_rounds} rounds" if diverged else None,
     )
 
 
 def _converges(seq: StepSequence, c: PauliChannelParams) -> bool:
     """``evolve(seq, c).converged`` without the records, for search loops."""
-    return _evolve_rounds(seq, c)[0]
+    return _evolve_rounds(seq, c)
 
 
 def channel_for_family(family: str, p: float) -> PauliChannelParams:
@@ -459,9 +449,8 @@ class _PrefixStates:
     its last round, so a node's state is one map applied to its parent's.
     Level ``n`` keeps the (qx, qy, qz) of every length-``n`` string, indexed
     by its bits (bit ``i`` set = P at round ``i + 1``), in one flat array:
-    NaN marks a state not yet computed and qx = -1 a degenerate round on
-    the path, which makes the node and all its extensions diverge.  The
-    states and verdicts are those of :func:`_converges` on the same floats.
+    NaN marks a state not yet computed.  The states and verdicts are those
+    of :func:`_converges` on the same floats.
     """
 
     def __init__(self, root: PauliChannelParams, max_len: int):
@@ -481,8 +470,6 @@ class _PrefixStates:
             i = 3 * (bits & ((1 << depth) - 1))
             qx = level[i]
             if qx == qx:  # not NaN: computed
-                if qx < 0.0:
-                    return False
                 qy, qz = level[i + 1], level[i + 2]
                 break
             depth -= 1
@@ -491,11 +478,7 @@ class _PrefixStates:
         for n in range(depth, length):
             level = levels[n + 1]
             i = 3 * (bits & ((2 << n) - 1))
-            try:
-                qx, qy, qz, _ = self._maps[(bits >> n) & 1](qx, qy, qz)
-            except DegenerateStepError:
-                level[i] = -1.0
-                return False
+            qx, qy, qz, _ = self._maps[(bits >> n) & 1](qx, qy, qz)
             level[i], level[i + 1], level[i + 2] = qx, qy, qz
         return css_key_fraction(qx + qy, qy + qz) > margin
 

@@ -16,6 +16,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .convergence import Trajectory
 
 
+_LN2 = math.log(2.0)
+
+
 class NumericalError(RuntimeError):
     """A numeric search failed (no sign change, broken bracket, ...)."""
 
@@ -24,13 +27,14 @@ def binary_entropy(x: float) -> float:
     """Shannon entropy h(x) = -x log2 x - (1-x) log2 (1-x).
 
     Endpoints are defined by continuity: h(0) = h(1) = 0.  Inputs outside
-    [0, 1] by more than 1e-12 raise; smaller excursions are clamped.
+    [0, 1] by more than 1e-12 raise; smaller excursions are clamped.  The
+    (1-x) term goes through log1p, so h keeps its x/ln 2 part for tiny x.
     """
     if not -1e-12 <= x <= 1.0 + 1e-12:
         raise ValueError(f"binary_entropy argument must lie in [0, 1], got {x}")
     if x <= 0.0 or x >= 1.0:
         return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+    return -(x * math.log2(x) + (1.0 - x) * math.log1p(-x) / _LN2)
 
 
 def one_minus_binary_entropy(x: float) -> float:
@@ -48,7 +52,7 @@ def one_minus_binary_entropy(x: float) -> float:
         raise ValueError(f"argument must lie in [0, 1], got {x}")
     return (
         0.5 * math.log1p(-4.0 * u * u) + u * (math.log1p(2.0 * u) - math.log1p(-2.0 * u))
-    ) / math.log(2.0)
+    ) / _LN2
 
 
 @dataclass(frozen=True)

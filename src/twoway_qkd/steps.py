@@ -7,7 +7,7 @@ Three step kinds act on a population of shared pairs carrying independent
 * ``B``  -- parity-check round: pairs of pairs compare announced parities.
   A pair of pairs is discarded when the parities disagree; otherwise one
   member survives with flags ``(x1, z1 ^ z2)``.  Survival probability
-  ``ps = 1 - 2 pz (1 - pz)``, kept fraction ``ps / 2``.
+  ``ps = pz^2 + (1 - pz)^2 >= 1/2`` for every pz, kept fraction ``ps / 2``.
 * ``P``  -- phase-correction round from the three-block repetition code:
   each trio keeps one member with flags
   ``(x1 ^ x2 ^ x3, majority(z1, z2, z3))``.  Nothing is discarded, so the
@@ -29,16 +29,6 @@ the worst-case analysis (``tests/oracles.py``).
 from __future__ import annotations
 
 import enum
-
-# Below this survival probability a check round would discard essentially
-# every pair; the step raises instead of dividing.  For valid channels
-# ps = 1 - 2 pz (1 - pz) >= 1/2, so this guard is purely defensive.
-DEGENERATE_PS = 1e-12
-
-
-class DegenerateStepError(ValueError):
-    """A check round's survival probability fell below the usable floor."""
-
 
 class ProtocolClassError(ValueError):
     """An EPP-only step was used where prepare-and-measure rules apply."""
@@ -67,9 +57,7 @@ class StepKind(str, enum.Enum):
 def _b_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
     """Raw B-step map on (qx, qy, qz); returns (qx', qy', qz', ps)."""
     pz = qx + qy
-    ps = 1.0 - 2.0 * pz * (1.0 - pz)
-    if ps < DEGENERATE_PS:
-        raise DegenerateStepError(f"B step survival probability {ps} ~ 0")
+    ps = 1.0 - 2.0 * pz * (1.0 - pz)  # >= 1/2: the division is always safe
     qi = 1.0 - qx - qy - qz
     return (
         max(0.0, (qx * qx + qy * qy) / ps),
@@ -82,9 +70,7 @@ def _b_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, floa
 def _bx_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
     """Raw Bx-step map; the X<->Z mirror of the B step."""
     px = qy + qz
-    ps = 1.0 - 2.0 * px * (1.0 - px)
-    if ps < DEGENERATE_PS:
-        raise DegenerateStepError(f"Bx step survival probability {ps} ~ 0")
+    ps = 1.0 - 2.0 * px * (1.0 - px)  # >= 1/2, as for B
     qi = 1.0 - qx - qy - qz
     return (
         max(0.0, 2.0 * qi * qx / ps),

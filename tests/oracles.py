@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
-from twoway_qkd import DegenerateStepError, PauliChannelParams, StepKind
+from twoway_qkd import PauliChannelParams, StepKind
 from twoway_qkd.channel import SIMPLEX_TOL
-from twoway_qkd.steps import DEGENERATE_PS, _RATE_FUNCS
+from twoway_qkd.steps import _RATE_FUNCS
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ def swap_xz(c: PauliChannelParams) -> PauliChannelParams:
 def _b_delta(pz: float, px: float, delta: float) -> tuple[float, float, float]:
     """Raw B-step map in (pz, px, delta) coordinates."""
     ps = 1.0 - 2.0 * pz + 2.0 * pz * pz
-    if ps < DEGENERATE_PS:
-        raise DegenerateStepError(f"B step survival probability {ps} ~ 0")
     return (
         pz * pz / ps,
         (px - px * px + delta * (1.0 - 2.0 * pz - delta)) / ps,
@@ -164,8 +162,6 @@ def enumerate_step_exact(
                     out = (f1[0] ^ f2[0], f1[1])
                 kept[out].append(prob[f1] * prob[f2])
         total = fsum(p for bucket in kept.values() for p in bucket)
-        if total < DEGENERATE_PS:
-            raise DegenerateStepError(f"{kind} step survival probability {total} ~ 0")
         survival = total
         yield_factor = 0.5 * total
     params = PauliChannelParams(

@@ -189,6 +189,20 @@ class TestAttackCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["key", "value"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["attack", "--protocol", "bb84", "--n", "10"],
+            ["simulate", "--family", "bb84", "--p", "0.1", "--sequence", "BB", "--n", "10"],
+        ],
+        ids=["attack", "simulate"],
+    )
+    def test_negative_seed_exits_1(self, capsys, argv):
+        code, out, err = run_capture(capsys, [*argv, "--seed", "-1"])
+        assert code == 1
+        assert out == ""
+        assert "error: --seed: must be a non-negative integer" in err
+
 
 class TestOptimizeCommand:
     def test_small_search(self, capsys):
@@ -199,6 +213,22 @@ class TestOptimizeCommand:
         report = json.loads(out)
         assert code == 0
         assert set(report["best_sequence"]) <= {"B", "P"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--tol", "0.4"], "--tol/--max-len/--margin: tol must"),
+            (["--max-len", "17"], "--tol/--max-len/--margin: max_len must"),
+            (["--max-len", "0"], "--tol/--max-len/--margin: max_len must"),
+            (["--margin", "nan"], "--tol/--max-len/--margin: css_margin must"),
+        ],
+        ids=["tol-0.4", "max-len-17", "max-len-0", "margin-nan"],
+    )
+    def test_invalid_argument_is_named(self, capsys, argv, message):
+        code, out, err = run_capture(capsys, ["optimize", "--family", "sixstate", *argv])
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_threads_flag_is_a_usage_error(self, capsys):
         code, out, err = run_capture(

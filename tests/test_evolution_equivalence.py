@@ -3,7 +3,7 @@
 import pytest
 from conftest import CountingMaps
 
-from twoway_qkd import PauliChannelParams, ProtocolClassError, evolve, parse_sequence, steps
+from twoway_qkd import PauliChannelParams, ProtocolClassError, evolve, parse_sequence
 from twoway_qkd import convergence
 from twoway_qkd.convergence import (
     ALTERNATING,
@@ -14,7 +14,7 @@ from twoway_qkd.convergence import (
     css_key_fraction,
     find_threshold,
 )
-from twoway_qkd.steps import _RATE_FUNCS, DegenerateStepError, StepKind
+from twoway_qkd.steps import _RATE_FUNCS, StepKind
 
 
 def kind_at(seq, index):
@@ -63,11 +63,7 @@ def reference_evolve(seq, c, prepare_and_measure=False):
                 f"step {kind} is EPP-only and cannot appear in a "
                 "prepare-and-measure sequence"
             )
-        try:
-            qx, qy, qz, ps = _RATE_FUNCS[kind](cur.qx, cur.qy, cur.qz)
-        except DegenerateStepError as exc:
-            diagnostic = f"degenerate step {index} ({kind}): {exc}"
-            return finish(False)
+        qx, qy, qz, ps = _RATE_FUNCS[kind](cur.qx, cur.qy, cur.qz)
         cur = PauliChannelParams(qx, qy, qz)
         cum_yield *= 1.0 / 3.0 if kind is StepKind.P else 0.5 * ps
         records.append(TrajectoryRecord(index, kind, cur, ps, cum_yield))
@@ -91,10 +87,7 @@ def reference_converges(seq, c):
     else:
         n_steps = len(seq.steps)
     for index in range(1, n_steps + 1):
-        try:
-            qx, qy, qz, _ = _RATE_FUNCS[kind_at(seq, index)](qx, qy, qz)
-        except DegenerateStepError:
-            return False
+        qx, qy, qz, _ = _RATE_FUNCS[kind_at(seq, index)](qx, qy, qz)
         if seq.policy == ALTERNATING and css_key_fraction(qx + qy, qy + qz) > margin:
             return True
     if seq.policy == ALTERNATING:
@@ -138,16 +131,6 @@ def test_identical_on_family_grid(family, text):
 @pytest.mark.parametrize("text", SEQUENCES)
 def test_identical_on_raw_channel_grid(text):
     assert_identical(parse_sequence(text), RAW_GRID)
-
-
-@pytest.mark.parametrize("text", ["alt:200", "BBBBBPPPPPP"])
-def test_identical_with_degenerate_rounds(monkeypatch, text):
-    # B rounds raise once pz(1 - pz) > 0.15, i.e. pz > 0.184.
-    monkeypatch.setattr(steps, "DEGENERATE_PS", 0.7)
-    seq = parse_sequence(text)
-    channels = [channel_for_family("bb84_worst", p) for p in P_GRID]
-    assert_identical(seq, channels)
-    assert any(evolve(seq, c).diagnostic.startswith("degenerate step") for c in channels[20:])
 
 
 @pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])

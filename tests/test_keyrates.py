@@ -35,6 +35,12 @@ class TestBinaryEntropy:
         # direct evaluation; 1 - 2 h crosses zero just above p = 0.11
         assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-15)
 
+    def test_keeps_linear_term_for_tiny_x(self):
+        # h(x) = x log2(1/x) + x/ln 2 + O(x^2); 1 - x rounds to 1 here
+        x = 1e-20
+        expected = x * math.log2(1.0 / x) + x / math.log(2.0)
+        assert binary_entropy(x) == pytest.approx(expected, rel=1e-12)
+
     def test_symmetry(self):
         for x in np.linspace(0.0, 1.0, 101):
             assert binary_entropy(x) == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)

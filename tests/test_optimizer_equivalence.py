@@ -3,7 +3,7 @@
 import pytest
 from conftest import CountingMaps
 
-from twoway_qkd import StepKind, StepSequence, find_threshold, optimize_sequence, steps
+from twoway_qkd import StepKind, StepSequence, find_threshold, optimize_sequence
 from twoway_qkd.convergence import (
     DEFAULT_CSS_MARGIN,
     _converges,
@@ -85,15 +85,6 @@ def test_identical_to_reference(family, tol, max_len):
     )
 
 
-def test_identical_to_reference_with_degenerate_rounds(monkeypatch):
-    # B rounds raise once pz(1 - pz) > 0.15, i.e. pz > 0.184: at every
-    # probe, strings whose P rounds push pz up hit a degenerate B round.
-    monkeypatch.setattr(steps, "DEGENERATE_PS", 0.7)
-    assert summary(optimize_sequence("bb84_worst", 8, tol=1e-3)) == summary(
-        reference_optimize("bb84_worst", 8, tol=1e-3)
-    )
-
-
 class TestPrefixStates:
     @pytest.mark.parametrize("family,p", [("sixstate", 0.26), ("bb84_worst", 0.18)])
     def test_verdicts_match_converges(self, family, p):
@@ -119,14 +110,3 @@ class TestPrefixStates:
         for n in range(1, 6):
             prefixes.converges(n, 0b10110 & ((1 << n) - 1), DEFAULT_CSS_MARGIN)
         assert maps.calls == 5
-
-    def test_degenerate_round_diverges_with_its_extensions(self, monkeypatch):
-        monkeypatch.setattr(steps, "DEGENERATE_PS", 0.7)
-        maps = CountingMaps(monkeypatch)
-        root = channel_for_family("sixstate", 0.3)  # pz = 0.3: a B round degenerates
-        prefixes = _PrefixStates(root, 3)
-        assert not prefixes.converges(1, 0b0, DEFAULT_CSS_MARGIN)
-        assert maps.calls == 1
-        for bits in range(4):  # B, then anything
-            assert not prefixes.converges(3, bits << 1, DEFAULT_CSS_MARGIN)
-        assert maps.calls == 1

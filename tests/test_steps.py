@@ -163,15 +163,25 @@ class TestEnumerationOracle:
                 assert abs(a.cumulative_yield - yield_factor) <= 1e-15
 
 
+# Every channel with rates in multiples of 1/2: the simplex edges where pz
+# and px each take the values 0, 1/2 and 1.
+EDGE_CHANNELS = [
+    PauliChannelParams(qx, qy, qz)
+    for qx in (0.0, 0.5, 1.0) for qy in (0.0, 0.5, 1.0) for qz in (0.0, 0.5, 1.0)
+    if qx + qy + qz <= 1.0
+]
+
+
 class TestSimplexPreservation:
     def test_outputs_stay_valid_on_sampled_inputs(self):
-        # PauliChannelParams construction re-validates the invariants
-        for c in random_channels(10_000, seed=24):
+        # PauliChannelParams construction re-validates the invariants; a B
+        # (Bx) round keeps ps = pz^2 + (1 - pz)^2 >= 1/2 (px for Bx) of its pairs
+        for c in random_channels(10_000, seed=24) + EDGE_CHANNELS:
             for kind in StepKind:
                 out = one_round(kind, c)
                 total = out.params.qx + out.params.qy + out.params.qz
                 assert total <= 1.0 + 1e-12
-                assert 0.0 <= out.survival_prob <= 1.0
+                assert 0.5 <= out.survival_prob <= 1.0
                 assert 0.0 < out.cumulative_yield <= 0.5
 
 
