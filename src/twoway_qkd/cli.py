@@ -190,17 +190,23 @@ def _seed(args) -> int:
     return args.seed
 
 
+def _n(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n: must be a positive integer, got {args.n}")
+    return args.n
+
+
 def _cmd_simulate(args) -> None:
     seq = _sequence(args)
     channel = _channel(args)
-    report = montecarlo.simulate_protocol2_bits(channel, seq, args.n, _seed(args))
+    report = montecarlo.simulate_protocol2_bits(channel, seq, _n(args), _seed(args))
     payload = {"command": "simulate", **report.to_dict()}
     _emit(args, payload, rows=[r.to_dict() for r in report.rounds])
 
 
 def _cmd_attack(args) -> None:
     report = montecarlo.intercept_resend(
-        args.protocol, args.n, _seed(args), eve_matches_basis=args.eve_matches_basis
+        args.protocol, _n(args), _seed(args), eve_matches_basis=args.eve_matches_basis
     )
     _emit(args, {"command": "attack", **report.to_dict()})
 

@@ -17,7 +17,7 @@ from math import isfinite, nan
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError, binary_entropy, one_minus_binary_entropy
-from .steps import ProtocolClassError, StepKind, _RATE_FUNCS
+from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES, _RATE_FUNCS
 
 FIXED = "fixed"
 ALTERNATING = "alternating_until_css"
@@ -214,7 +214,7 @@ def _evolve_rounds(
         before_last = last = None  # states after rounds i - 2 and i - 1
     else:
         kinds = seq.steps
-    maps = _RATE_FUNCS
+    maps, sizes = _RATE_FUNCS, _BLOCK_SIZES
     cum_yield = 1.0
     for index, kind in enumerate(kinds, 1):
         if prepare_and_measure and kind.epp_only:
@@ -224,7 +224,7 @@ def _evolve_rounds(
             )
         qx, qy, qz, ps = maps[kind](qx, qy, qz)
         if records is not None:
-            cum_yield *= ps / kind.block_size
+            cum_yield *= ps / sizes[kind]
             records.append(
                 TrajectoryRecord(index, kind, PauliChannelParams(qx, qy, qz), ps, cum_yield)
             )
@@ -232,7 +232,7 @@ def _evolve_rounds(
             state = (qx, qy, qz)
             if state == before_last:
                 if records is not None:  # the rounds left repeat rounds i - 1 and i
-                    pair = cycle([(r, r.survival_prob / r.kind.block_size) for r in records[-2:]])
+                    pair = cycle([(r, r.survival_prob / sizes[r.kind]) for r in records[-2:]])
                     for index, (r, factor) in zip(range(index + 1, seq.max_rounds + 1), pair):
                         cum_yield *= factor
                         records.append(

@@ -14,6 +14,9 @@ deterministically by seeding with ``[seed, stream_index]``: stream 0 draws
 the initial population, stream k >= 1 draws the random blocks of round k in
 both simulations.  Identical seeds give identical ensembles, pairings, and
 reports.
+
+numpy is imported inside the functions that sample, so it loads on the first
+Monte Carlo call; importing this module, as every analytic command does, does not.
 """
 
 from __future__ import annotations
@@ -21,17 +24,20 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import PauliChannelParams
 from .convergence import StepSequence, Trajectory, evolve
 from .steps import StepKind
 
+if TYPE_CHECKING:
+    import numpy as np
+
 logger = logging.getLogger(__name__)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
+    import numpy as np
     return np.random.default_rng([seed, index])
 
 
@@ -86,6 +92,7 @@ class EmpiricalRates:
 
 def sample_flags(c: PauliChannelParams, n: int, seed: int) -> FlagEnsemble:
     """Draw n independent error-flag pairs from the channel distribution."""
+    import numpy as np
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     u = _stream(seed, 0).random(n)
@@ -97,6 +104,7 @@ def sample_flags(c: PauliChannelParams, n: int, seed: int) -> FlagEnsemble:
 
 def estimate_rates(e: FlagEnsemble) -> EmpiricalRates:
     """Empirical X/Y/Z rates with per-component binomial standard errors."""
+    import numpy as np
     n = len(e)
     if n == 0:
         raise ValueError("cannot estimate rates of an empty ensemble")
@@ -116,6 +124,7 @@ def flag_round(e: FlagEnsemble, kind: StepKind) -> FlagEnsemble:
     flags ``(x1, z1 ^ z2)``; Bx is its phase-basis mirror; P keeps one member
     of each random trio with flags ``(x1 ^ x2 ^ x3, majority(z1, z2, z3))``.
     """
+    import numpy as np
     block = kind.block_size
     if len(e) < block:
         raise ValueError(f"need at least {block} flags for a {kind} round, got {len(e)}")
@@ -199,6 +208,7 @@ def simulate_protocol2_bits(
     parities agree; P rounds replace each random trio by its parity.  The
     per-round disagreement rate is reported against the analytic recursion.
     """
+    import numpy as np
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     traj = evolve(seq, channel, prepare_and_measure=True)
@@ -279,6 +289,7 @@ def intercept_resend(
     random bit.  ``eve_matches_basis`` is a diagnostic mode in which Eve
     always measures in Alice's basis (no errors are introduced).
     """
+    import numpy as np
     if protocol not in ("bb84", "sixstate"):
         raise ValueError(f"unknown protocol {protocol!r}; expected bb84 or sixstate")
     if n < 1:

@@ -20,7 +20,8 @@ Three step kinds act on a population of shared pairs carrying independent
 Each map takes raw rates (qx, qy, qz) and returns the rates after the
 round with the block survival probability ``ps`` (1 for P); the kept
 fraction of a round is ``ps / kind.block_size``.  ``_RATE_FUNCS`` keys the
-maps by :class:`StepKind` and is the one way the package applies a round.
+maps by :class:`StepKind` and is the one way the package applies a round;
+``_BLOCK_SIZES`` holds the block sizes; per-round loops read it, not the property.
 The tests hold the independent oracles: an exhaustive enumeration of Pauli
 configurations, and the recursion in (pz, px, delta) coordinates used by
 the worst-case analysis (``tests/oracles.py``).
@@ -48,7 +49,7 @@ class StepKind(str, enum.Enum):
 
     @property
     def block_size(self) -> int:
-        return 3 if self is StepKind.P else 2
+        return _BLOCK_SIZES[self]
 
     def __str__(self) -> str:
         return self.value
@@ -90,3 +91,4 @@ def _p_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, floa
 
 
 _RATE_FUNCS = {StepKind.B: _b_rates, StepKind.P: _p_rates, StepKind.BX: _bx_rates}
+_BLOCK_SIZES = {StepKind.B: 2, StepKind.P: 3, StepKind.BX: 2}

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -189,19 +193,25 @@ class TestAttackCommand:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["key", "value"]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["attack", "--protocol", "bb84", "--n", "10"],
-            ["simulate", "--family", "bb84", "--p", "0.1", "--sequence", "BB", "--n", "10"],
-        ],
-        ids=["attack", "simulate"],
-    )
+    MC_ARGV = [
+        ["attack", "--protocol", "bb84", "--n", "10"],
+        ["simulate", "--family", "bb84", "--p", "0.1", "--sequence", "BB", "--n", "10"],
+    ]
+
+    @pytest.mark.parametrize("argv", MC_ARGV, ids=["attack", "simulate"])
     def test_negative_seed_exits_1(self, capsys, argv):
         code, out, err = run_capture(capsys, [*argv, "--seed", "-1"])
         assert code == 1
         assert out == ""
         assert "error: --seed: must be a non-negative integer" in err
+
+    @pytest.mark.parametrize("argv", MC_ARGV, ids=["attack", "simulate"])
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_non_positive_n_is_named(self, capsys, argv, n):
+        code, out, err = run_capture(capsys, [*argv, "--n", n])
+        assert code == 1
+        assert out == ""
+        assert f"error: --n: must be a positive integer, got {n}" in err
 
 
 class TestOptimizeCommand:
@@ -295,6 +305,34 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert code == 2
         assert "synthetic" in captured.err
+
+    def test_analytic_commands_do_not_load_numpy(self):
+        # conftest imports numpy, so the check needs a fresh interpreter.
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import twoway_qkd, twoway_qkd.cli as cli
+            analytic = [
+                ["threshold", "--family", "sixstate", "--sequence", "BB", "--tol", "1e-3"],
+                ["evolve", "--family", "bb84", "--p", "0.1", "--sequence", "BBP"],
+                ["keyrate", "--scheme", "shor_preskill", "--p", "0.05"],
+                ["optimize", "--family", "sixstate", "--max-len", "4", "--tol", "1e-3"],
+                ["bounds"],
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in analytic:
+                    assert cli.run(argv) == 0, argv
+                assert "numpy" not in sys.modules, "an analytic command loaded numpy"
+                assert cli.run(["attack", "--protocol", "bb84", "--n", "100"]) == 0
+            assert "numpy" in sys.modules
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_no_subcommand_exits_1(self, capsys):
         code, _, err = run_capture(capsys, [])
