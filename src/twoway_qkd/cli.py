@@ -97,6 +97,8 @@ def _sequence(args) -> convergence.StepSequence:
 def _channel(args) -> PauliChannelParams:
     if args.p is None:
         raise UsageError("--p: required")
+    if args.family != "bb84" and args.a != 0.0:
+        raise UsageError(f"--a: applies to --family bb84 only, got {args.a}")
     try:
         if args.family == "bb84":
             return bb84_family(args.p, args.a)

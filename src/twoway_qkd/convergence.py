@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import cycle, islice
 from math import isfinite, nan
 
@@ -151,24 +152,97 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step record of a sequence evolution plus its CSS verdict."""
+    """A sequence evolution: the raw rates of every computed round and its CSS verdict.
+
+    ``rounds`` holds one ``(qx, qy, qz, ps)`` tuple per round the kernel
+    computed.  :attr:`records` are built from these raw per-round rates on
+    first read, so a trajectory whose records nobody reads costs about what
+    its verdict does.  A diverged alternating run that stopped at a
+    repeated state keeps only the rounds up to the repeat; its records
+    repeat the last two of them up to ``max_rounds``.
+    """
 
     initial: PauliChannelParams
     sequence: StepSequence
-    records: tuple[TrajectoryRecord, ...]
-    final_bit_rate: float
-    final_phase_rate: float
-    css_rate: float
+    rounds: tuple[tuple[float, float, float, float], ...]
     converged: bool
     diagnostic: str | None = None
 
     @property
+    def _cycled(self) -> bool:
+        """True when the rounds stop at a repeated state short of ``max_rounds``."""
+        seq = self.sequence
+        return (
+            seq.policy == ALTERNATING
+            and not self.converged
+            and len(self.rounds) < seq.max_rounds
+        )
+
+    def _kinds(self):
+        if self.sequence.policy == ALTERNATING:
+            return cycle((StepKind.B, StepKind.P))
+        return self.sequence.steps
+
+    @cached_property
+    def records(self) -> tuple[TrajectoryRecord, ...]:
+        """One record per round, built from ``rounds`` on first read."""
+        steps = [
+            (kind, PauliChannelParams(qx, qy, qz), ps)
+            for kind, (qx, qy, qz, ps) in zip(self._kinds(), self.rounds)
+        ]
+        if self._cycled:  # rounds i + 1, i + 2, ... repeat rounds i - 1 and i
+            steps += islice(cycle(steps[-2:]), self.sequence.max_rounds - len(steps))
+        records = []
+        cum_yield = 1.0
+        for index, (kind, params, ps) in enumerate(steps, 1):
+            cum_yield *= ps / _BLOCK_SIZES[kind]
+            records.append(TrajectoryRecord(index, kind, params, ps, cum_yield))
+        return tuple(records)
+
+    @property
+    def _final_rates(self) -> tuple[float, float, float]:
+        """Raw (qx, qy, qz) after the trajectory's last round.
+
+        The maps clamp their outputs at 0, so these are the rates of
+        :attr:`final_params` without building it.
+        """
+        rounds = self.rounds
+        if not rounds:
+            c = self.initial
+            return c.qx, c.qy, c.qz
+        # A cycled run stops at round i = len(rounds); round max_rounds then
+        # repeats round i when max_rounds - i is even, round i - 1 when odd.
+        if self._cycled and (self.sequence.max_rounds - len(rounds)) % 2:
+            return rounds[-2][:3]
+        return rounds[-1][:3]
+
+    @cached_property
     def final_params(self) -> PauliChannelParams:
-        return self.records[-1].params if self.records else self.initial
+        return PauliChannelParams(*self._final_rates) if self.rounds else self.initial
 
     @property
     def cumulative_yield(self) -> float:
-        return self.records[-1].cumulative_yield if self.records else 1.0
+        if self._cycled:
+            return self.records[-1].cumulative_yield
+        cum_yield = 1.0
+        for kind, (_, _, _, ps) in zip(self._kinds(), self.rounds):
+            cum_yield *= ps / _BLOCK_SIZES[kind]
+        return cum_yield
+
+    @property
+    def final_bit_rate(self) -> float:
+        qx, qy, _ = self._final_rates
+        return qx + qy
+
+    @property
+    def final_phase_rate(self) -> float:
+        _, qy, qz = self._final_rates
+        return qy + qz
+
+    @property
+    def css_rate(self) -> float:
+        qx, qy, qz = self._final_rates
+        return css_key_fraction(qx + qy, qy + qz)
 
     def to_rows(self) -> list[dict]:
         """Rows for CSV-style serialization, one per applied step."""
@@ -189,20 +263,19 @@ class Trajectory:
 def _evolve_rounds(
     seq: StepSequence,
     c: PauliChannelParams,
-    records: list[TrajectoryRecord] | None = None,
+    rounds: list[tuple[float, float, float, float]] | None = None,
     prepare_and_measure: bool = False,
 ) -> bool:
     """Evolution kernel of :func:`evolve` and :func:`_converges`.
 
     Applies ``seq``'s rounds to raw (qx, qy, qz) floats with the maps in
-    ``_RATE_FUNCS`` and returns the CSS verdict.  When ``records`` is a
-    list, one :class:`TrajectoryRecord` per round is appended to it.
+    ``_RATE_FUNCS`` and returns the CSS verdict.  When ``rounds`` is a
+    list, each round's ``(qx, qy, qz, ps)`` is appended to it.
 
     An alternating run stops early once the state after round i equals the
     state after round i - 2: both states have failed the CSS test, and the
     maps are deterministic, so rounds i + 1, i + 2, ... repeat rounds i - 1
-    and i for good.  The record of each round left copies the record two
-    rounds back, which has the same kind, and its yield factor.
+    and i for good.
     """
     margin = seq.css_margin
     qx, qy, qz = c.qx, c.qy, c.qz
@@ -214,30 +287,20 @@ def _evolve_rounds(
         before_last = last = None  # states after rounds i - 2 and i - 1
     else:
         kinds = seq.steps
-    maps, sizes = _RATE_FUNCS, _BLOCK_SIZES
-    cum_yield = 1.0
-    for index, kind in enumerate(kinds, 1):
+    maps = _RATE_FUNCS
+    for kind in kinds:
         if prepare_and_measure and kind.epp_only:
             raise ProtocolClassError(
                 f"step {kind} is EPP-only and cannot appear in a "
                 "prepare-and-measure sequence"
             )
-        qx, qy, qz, ps = maps[kind](qx, qy, qz)
-        if records is not None:
-            cum_yield *= ps / sizes[kind]
-            records.append(
-                TrajectoryRecord(index, kind, PauliChannelParams(qx, qy, qz), ps, cum_yield)
-            )
+        step = maps[kind](qx, qy, qz)
+        qx, qy, qz, _ = step
+        if rounds is not None:
+            rounds.append(step)
         if alternating:
             state = (qx, qy, qz)
             if state == before_last:
-                if records is not None:  # the rounds left repeat rounds i - 1 and i
-                    pair = cycle([(r, r.survival_prob / sizes[r.kind]) for r in records[-2:]])
-                    for index, (r, factor) in zip(range(index + 1, seq.max_rounds + 1), pair):
-                        cum_yield *= factor
-                        records.append(
-                            TrajectoryRecord(index, r.kind, r.params, r.survival_prob, cum_yield)
-                        )
                 return False
             if css_key_fraction(qx + qy, qy + qz) > margin:
                 return True
@@ -254,20 +317,17 @@ def evolve(
 
     With ``prepare_and_measure`` set, EPP-only steps (Bx) are rejected.  An
     alternating run that never reaches CSS viability is non-converged with
-    the diagnostic ``no CSS viability within N rounds``.
+    the diagnostic ``no CSS viability within N rounds``.  The trajectory
+    keeps the raw per-round rates; its records are built from them on
+    first read.
     """
-    records: list[TrajectoryRecord] = []
-    converged = _evolve_rounds(seq, c, records, prepare_and_measure)
+    rounds: list[tuple[float, float, float, float]] = []
+    converged = _evolve_rounds(seq, c, rounds, prepare_and_measure)
     diverged = seq.policy == ALTERNATING and not converged
-    cur = records[-1].params if records else c
-    f1, f2 = cur.pz, cur.px
     return Trajectory(
         initial=c,
         sequence=seq,
-        records=tuple(records),
-        final_bit_rate=f1,
-        final_phase_rate=f2,
-        css_rate=css_key_fraction(f1, f2),
+        rounds=tuple(rounds),
         converged=converged,
         diagnostic=f"no CSS viability within {seq.max_rounds} rounds" if diverged else None,
     )

@@ -194,14 +194,14 @@ def two_way_net_rate(t: "Trajectory") -> KeyRateReport:
     """
     if not t.converged:
         raise ValueError("trajectory did not converge; no key is produced")
-    rate = t.cumulative_yield * max(t.css_rate, 0.0)
+    cum_yield, css = t.cumulative_yield, t.css_rate  # each computed on read
     return KeyRateReport(
         scheme="two_way_epp",
         p=t.initial.pz,
-        rate=rate,
+        rate=cum_yield * max(css, 0.0),
         components={
-            "cumulative_yield": t.cumulative_yield,
-            "css_rate": t.css_rate,
+            "cumulative_yield": cum_yield,
+            "css_rate": css,
         },
         note=(
             "per sifted bit entering round 1; rate = cumulative_yield * "

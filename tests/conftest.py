@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from twoway_qkd import PauliChannelParams, StepKind, StepSequence, evolve, steps
+from twoway_qkd import PauliChannelParams, StepKind, StepSequence, convergence, evolve, steps
 
 
 def random_channels(n: int, seed: int, scale: float = 1.0) -> list[PauliChannelParams]:
@@ -28,6 +28,24 @@ class CountingMaps:
         def counted(*args):
             self.calls += 1
             return fn(*args)
+        return counted
+
+
+class CountingBuilds:
+    """Wraps classes that ``convergence`` builds to count the instances made.
+
+    ``built`` maps each wrapped class name to its count.
+    """
+
+    def __init__(self, monkeypatch, *names):
+        self.built = dict.fromkeys(names, 0)
+        for name in names:
+            monkeypatch.setattr(convergence, name, self._wrap(name, getattr(convergence, name)))
+
+    def _wrap(self, name, cls):
+        def counted(*args, **kwargs):
+            self.built[name] += 1
+            return cls(*args, **kwargs)
         return counted
 
 

@@ -277,6 +277,29 @@ class TestSimulateCommand:
         assert rows[0]["kind"] == "B"
 
 
+class TestChannelArguments:
+    CHANNEL_ARGV = {
+        "evolve": ["evolve", "--sequence", "BB"],
+        "simulate": ["simulate", "--sequence", "BB", "--n", "100"],
+        "keyrate": ["keyrate", "--scheme", "two_way", "--sequence", "BB"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(CHANNEL_ARGV))
+    @pytest.mark.parametrize("a", ["0.1", "-0.1"])
+    def test_a_outside_bb84_is_named(self, capsys, command, a):
+        argv = [*self.CHANNEL_ARGV[command], "--family", "sixstate", "--p", "0.1", "--a", a]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: --a: applies to --family bb84 only, got {a}" in err
+
+    @pytest.mark.parametrize("command", sorted(CHANNEL_ARGV))
+    def test_zero_a_is_accepted(self, capsys, command):
+        argv = [*self.CHANNEL_ARGV[command], "--family", "sixstate", "--p", "0.1", "--a", "0"]
+        code, _, _ = run_capture(capsys, argv)
+        assert code == 0
+
+
 class TestPlumbing:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -1,13 +1,18 @@
 """The single evolution kernel against the two full-length reference loops."""
 
 import pytest
-from conftest import CountingMaps
+from conftest import CountingBuilds, CountingMaps
 
-from twoway_qkd import PauliChannelParams, ProtocolClassError, evolve, parse_sequence
+from twoway_qkd import (
+    PauliChannelParams,
+    ProtocolClassError,
+    evolve,
+    parse_sequence,
+    two_way_net_rate,
+)
 from twoway_qkd import convergence
 from twoway_qkd.convergence import (
     ALTERNATING,
-    Trajectory,
     TrajectoryRecord,
     _converges,
     channel_for_family,
@@ -24,11 +29,42 @@ def kind_at(seq, index):
     return seq.steps[index - 1]
 
 
+def rows(records):
+    """Reference for ``Trajectory.to_rows``: one CSV row per record."""
+    return [
+        {
+            "step_index": r.step_index,
+            "kind": r.kind.value,
+            "qx": r.params.qx,
+            "qy": r.params.qy,
+            "qz": r.params.qz,
+            "ps": r.survival_prob,
+            "yield": r.cumulative_yield,
+        }
+        for r in records
+    ]
+
+
+def observables(t):
+    """Every observable of a trajectory, the derived ones read first."""
+    return {
+        "final_params": t.final_params,
+        "cumulative_yield": t.cumulative_yield,
+        "final_bit_rate": t.final_bit_rate,
+        "final_phase_rate": t.final_phase_rate,
+        "css_rate": t.css_rate,
+        "converged": t.converged,
+        "diagnostic": t.diagnostic,
+        "records": t.records,
+        "to_rows": t.to_rows(),
+    }
+
+
 def reference_evolve(seq, c, prepare_and_measure=False):
     """Recording loop that builds a channel after every round.
 
-    The yield factor of a round is ``0.5 * ps`` for B and Bx and ``1/3``
-    for P.
+    Returns the observables of :func:`observables` by name.  The yield
+    factor of a round is ``0.5 * ps`` for B and Bx and ``1/3`` for P.
     """
     margin = seq.css_margin
     records = []
@@ -38,16 +74,17 @@ def reference_evolve(seq, c, prepare_and_measure=False):
 
     def finish(converged):
         f1, f2 = cur.pz, cur.px
-        return Trajectory(
-            initial=c,
-            sequence=seq,
-            records=tuple(records),
-            final_bit_rate=f1,
-            final_phase_rate=f2,
-            css_rate=css_key_fraction(f1, f2),
-            converged=converged,
-            diagnostic=diagnostic,
-        )
+        return {
+            "final_params": cur,
+            "cumulative_yield": cum_yield,
+            "final_bit_rate": f1,
+            "final_phase_rate": f2,
+            "css_rate": css_key_fraction(f1, f2),
+            "converged": converged,
+            "diagnostic": diagnostic,
+            "records": tuple(records),
+            "to_rows": rows(records),
+        }
 
     if seq.policy == ALTERNATING:
         if css_key_fraction(cur.pz, cur.px) > margin:
@@ -108,17 +145,24 @@ RAW_GRID = [
 
 
 def outcome(fn, *args):
-    """``repr`` of a call's result, or the type and message it raised."""
+    """``repr`` of a call's observables, or the type and message it raised.
+
+    ``repr`` tells apart floats that compare equal, such as 0.0 and -0.0.
+    """
     try:
         return repr(fn(*args))
     except ProtocolClassError as exc:
         return f"ProtocolClassError: {exc}"
 
 
+def package_evolve(seq, c, prepare_and_measure=False):
+    return observables(evolve(seq, c, prepare_and_measure))
+
+
 def assert_identical(seq, channels):
     for c in channels:
         for pm in (False, True):
-            assert outcome(evolve, seq, c, pm) == outcome(reference_evolve, seq, c, pm)
+            assert outcome(package_evolve, seq, c, pm) == outcome(reference_evolve, seq, c, pm)
         assert _converges(seq, c) == reference_converges(seq, c)
 
 
@@ -171,3 +215,29 @@ class TestCycleExit:
         maps = CountingMaps(monkeypatch)
         assert not _converges(parse_sequence("BP" * 100), channel_for_family("sixstate", 0.28))
         assert maps.calls == 200
+
+
+class TestLazyRecords:
+    """A trajectory builds its records from the raw rounds on first read."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        return CountingBuilds(monkeypatch, "PauliChannelParams", "TrajectoryRecord")
+
+    def test_diverged_alternation_builds_nothing(self, builds):
+        t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
+        assert not t.converged
+        assert builds.built == {"PauliChannelParams": 0, "TrajectoryRecord": 0}
+
+    def test_net_rate_builds_nothing(self, builds):
+        t = evolve(parse_sequence("BBBBB"), channel_for_family("sixstate", 0.2))
+        assert two_way_net_rate(t).rate > 0.0
+        assert builds.built == {"PauliChannelParams": 0, "TrajectoryRecord": 0}
+
+    def test_records_are_built_once(self, builds):
+        t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
+        assert builds.built["TrajectoryRecord"] == 0
+        records = t.records
+        assert t.records is records
+        assert len(records) == 200
+        assert builds.built["TrajectoryRecord"] == 200
