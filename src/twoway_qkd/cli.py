@@ -153,8 +153,13 @@ _RATE_FNS = {
 
 def _cmd_keyrate(args) -> None:
     if args.scheme == "two_way":
+        if args.find_threshold:
+            raise UsageError("--find-threshold: applies to the one-way schemes only")
         if args.sequence is None:
             raise UsageError("--sequence: required for scheme two_way")
+        args.family = args.family or "sixstate"
+        if args.margin is None:
+            args.margin = convergence.DEFAULT_CSS_MARGIN
         seq = _sequence(args)
         channel = _channel(args)
         traj = convergence.evolve(seq, channel)
@@ -171,8 +176,15 @@ def _cmd_keyrate(args) -> None:
         payload = {"command": "keyrate", "sequence": str(seq), **report}
         _emit(args, payload)
         return
+    two_way_only = {"--a": args.a or None, "--family": args.family,
+                    "--sequence": args.sequence, "--margin": args.margin}
+    for name, value in two_way_only.items():
+        if value is not None:
+            raise UsageError(f"{name}: applies to --scheme two_way only, got {value}")
     fn = _RATE_FNS[args.scheme]
     if args.find_threshold:
+        if args.p is not None:
+            raise UsageError(f"--p: not used with --find-threshold, got {args.p}")
         root = keyrates.rate_threshold(fn)
         payload = {"command": "keyrate", "scheme": args.scheme, "threshold": root}
         _emit(args, payload)
@@ -280,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True,
                    choices=[*_RATE_FNS.keys(), "two_way"])
     p.add_argument("--p", type=float, default=None, help="bit error rate")
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--family", choices=["bb84", "sixstate"], default="sixstate")
-    p.add_argument("--sequence", default=None)
-    p.add_argument("--margin", type=float, default=convergence.DEFAULT_CSS_MARGIN)
+    p.add_argument("--a", type=float, default=0.0, help="two_way, bb84 family only")
+    p.add_argument("--family", choices=["bb84", "sixstate"], default=None,
+                   help="two_way only (default: sixstate)")
+    p.add_argument("--sequence", default=None, help="two_way only, required")
+    p.add_argument("--margin", type=float, default=None,
+                   help="two_way only: CSS viability margin")
     p.add_argument("--find-threshold", action="store_true",
                    help="report the scheme's zero-rate threshold instead")
     p.add_argument("--format", choices=["json", "csv", "table"], default="json")

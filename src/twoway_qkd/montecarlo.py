@@ -6,8 +6,11 @@ Three layers:
   flags pushed through B, P or Bx rounds by :func:`flag_round`, whose
   empirical rates must track the closed-form maps in ``steps``;
 * bit-level simulation of the prepare-and-measure protocol (announced
-  parities, trio compression), which can only see bit errors;
-* intercept-resend attack baselines for BB84 and the six-state scheme.
+  parities, trio compression), which can only see bit errors; it carries
+  only the Alice-xor-Bob error bits, and draws Alice's bits only to keep
+  the seeded stream;
+* intercept-resend attack baselines for BB84 and the six-state scheme,
+  counted on error bits relative to Alice's.
 
 Randomness uses numpy's PCG64 generator (period 2^128).  Streams are split
 deterministically by seeding with ``[seed, stream_index]``: stream 0 draws
@@ -207,31 +210,32 @@ def simulate_protocol2_bits(
     keep the first bit of each randomly formed pair iff the announced pair
     parities agree; P rounds replace each random trio by its parity.  The
     per-round disagreement rate is reported against the analytic recursion.
+
+    Only the Alice-xor-Bob error bits are carried: a pair's parities agree
+    iff its two error bits do, and a trio's parity error is the parity of
+    its errors.  Alice's bits are drawn only to keep the seeded stream.
     """
     import numpy as np
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     traj = evolve(seq, channel, prepare_and_measure=True)
     rng = _stream(seed, 0)
-    alice = rng.integers(0, 2, n, dtype=np.uint8)
-    bob = alice ^ (rng.random(n) < channel.pz).astype(np.uint8)
+    rng.integers(0, 2, n, dtype=np.uint8)  # Alice's bits: keeps the flips' stream position
+    err = (rng.random(n) < channel.pz).astype(np.uint8)
 
     rounds: list[RoundReport] = []
     for rec in traj.records:
-        size = alice.size
+        size = err.size
         if size < rec.kind.block_size:
             logger.warning("population exhausted before round %d", rec.step_index)
             break
-        cols = _random_blocks(seed, rec.step_index, size, rec.kind.block_size)
+        e = [err[c] for c in _random_blocks(seed, rec.step_index, size, rec.kind.block_size)]
         if rec.kind is StepKind.B:
-            keep = (alice[cols[0]] ^ alice[cols[1]]) == (bob[cols[0]] ^ bob[cols[1]])
-            alice = alice[cols[0]][keep]
-            bob = bob[cols[0]][keep]
+            err = np.compress(e[0] == e[1], e[0])
         else:  # P
-            alice = alice[cols[0]] ^ alice[cols[1]] ^ alice[cols[2]]
-            bob = bob[cols[0]] ^ bob[cols[1]] ^ bob[cols[2]]
-        n_kept = int(alice.size)
-        disagreements = int(np.count_nonzero(alice != bob))
+            err = e[0] ^ e[1] ^ e[2]
+        n_kept = int(err.size)
+        disagreements = int(np.count_nonzero(err))
         pred = rec.params.pz
         rounds.append(
             RoundReport(
@@ -287,7 +291,8 @@ def intercept_resend(
     States are (basis, bit) pairs with the measurement-collapse rule: same
     basis reads the bit faithfully, a different basis yields a uniformly
     random bit.  ``eve_matches_basis`` is a diagnostic mode in which Eve
-    always measures in Alice's basis (no errors are introduced).
+    always measures in Alice's basis (no errors are introduced).  Only the
+    error bits relative to Alice's are formed, not Eve's or Bob's bits.
     """
     import numpy as np
     if protocol not in ("bb84", "sixstate"):
@@ -296,22 +301,30 @@ def intercept_resend(
         raise ValueError(f"need n >= 1, got {n}")
     n_bases = 2 if protocol == "bb84" else 3
     rng = _stream(seed, 0)
-    alice_basis = rng.integers(0, n_bases, n)
+    # Bases are drawn as int64, which fixes the stream, and held as int8.
+    alice_basis = rng.integers(0, n_bases, n).astype(np.int8)
     alice_bit = rng.integers(0, 2, n, dtype=np.uint8)
     if eve_matches_basis:
         eve_basis = alice_basis
     else:
-        eve_basis = rng.integers(0, n_bases, n)
-    eve_bit = np.where(
-        eve_basis == alice_basis, alice_bit, rng.integers(0, 2, n, dtype=np.uint8)
-    )
-    bob_basis = rng.integers(0, n_bases, n)
-    bob_bit = np.where(
-        bob_basis == eve_basis, eve_bit, rng.integers(0, 2, n, dtype=np.uint8)
-    )
+        eve_basis = rng.integers(0, n_bases, n).astype(np.int8)
+    # Error bits relative to Alice: Eve's random bit counts where her basis differs.
+    err = rng.integers(0, 2, n, dtype=np.uint8)
+    err ^= alice_bit
+    err &= eve_basis != alice_basis
+    bob_basis = rng.integers(0, n_bases, n).astype(np.int8)
+    bob_reads_eve = bob_basis == eve_basis
+    del eve_basis
+    bob_err = rng.integers(0, 2, n, dtype=np.uint8)
+    bob_err ^= alice_bit
+    # Bob keeps Eve's error where his basis matches hers, else his own.
+    err ^= bob_err
+    err &= bob_reads_eve
+    err ^= bob_err
     sifted_mask = bob_basis == alice_basis
     sifted = int(np.count_nonzero(sifted_mask))
-    errors = int(np.count_nonzero(alice_bit[sifted_mask] != bob_bit[sifted_mask]))
+    err &= sifted_mask
+    errors = int(np.count_nonzero(err))
     rate = errors / sifted if sifted else 0.0
     return AttackReport(
         protocol=protocol,

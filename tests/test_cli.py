@@ -300,6 +300,49 @@ class TestChannelArguments:
         assert code == 0
 
 
+class TestKeyrateArguments:
+    ONE_WAY = ["keyrate", "--scheme", "inamori_bb84", "--p", "0.05"]
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("--a", "0.3", "0.3"),
+        ("--family", "bb84", "bb84"),
+        ("--sequence", "BB", "BB"),
+        ("--margin", "0", "0.0"),
+    ])
+    def test_two_way_argument_on_one_way_scheme_is_named(self, capsys, name, value, shown):
+        code, out, err = run_capture(capsys, [*self.ONE_WAY, name, value])
+        assert code == 1
+        assert out == ""
+        assert f"error: {name}: applies to --scheme two_way only, got {shown}" in err
+
+    def test_find_threshold_on_two_way_is_named(self, capsys):
+        argv = ["keyrate", "--scheme", "two_way", "--sequence", "BB", "--p", "0.1",
+                "--find-threshold"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "error: --find-threshold: applies to the one-way schemes only" in err
+
+    def test_p_with_find_threshold_is_named(self, capsys):
+        argv = ["keyrate", "--scheme", "shor_preskill", "--find-threshold", "--p", "0.1"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "error: --p: not used with --find-threshold, got 0.1" in err
+
+    def test_zero_a_on_one_way_scheme_is_accepted(self, capsys):
+        code, out, _ = run_capture(capsys, [*self.ONE_WAY, "--a", "0"])
+        assert code == 0
+        assert json.loads(out)["scheme"] == "inamori_bb84"
+
+    def test_two_way_defaults_match_explicit_values(self, capsys):
+        argv = ["keyrate", "--scheme", "two_way", "--sequence", "BBBBB", "--p", "0.1"]
+        _, default, _ = run_capture(capsys, argv)
+        _, explicit, _ = run_capture(
+            capsys, [*argv, "--family", "sixstate", "--margin", "1e-30"])
+        assert default == explicit
+
+
 class TestPlumbing:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"

@@ -26,6 +26,11 @@ COMMANDS = {
     "optimize_sixstate_8": "optimize --family sixstate --max-len 8",
     "simulate_bb84_BBPP": "simulate --family bb84 --p 0.15 --sequence BBPP --n 20000 --seed 3",
     "attack_sixstate": "attack --protocol sixstate --n 20000 --seed 5",
+    "attack_bb84": "attack --protocol bb84 --n 20000 --seed 7",
+    "attack_bb84_eve_matches_basis":
+        "attack --protocol bb84 --n 20000 --seed 7 --eve-matches-basis",
+    "simulate_sixstate_BBBBB_csv":
+        "simulate --family sixstate --p 0.2 --sequence BBBBB --n 20000 --seed 4 --format csv",
     "bounds_table": "bounds --format table",
 }
 

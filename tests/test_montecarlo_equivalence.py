@@ -1,0 +1,151 @@
+"""The Monte Carlo functions against verbatim copies of their earlier forms.
+
+``intercept_resend`` and ``simulate_protocol2_bits`` compute only what their
+reports count: error bits relative to Alice instead of Alice's and Bob's
+bits side by side.  ``reference_intercept_resend`` and
+``reference_simulate_protocol2_bits`` are the bit-carrying forms they
+replaced, kept here unchanged, and every report must match theirs exactly
+for every ``(n, seed)``: same draws, same pairings, same counts.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from twoway_qkd import bb84_family, parse_sequence, sixstate_channel
+from twoway_qkd.convergence import evolve
+from twoway_qkd.montecarlo import (
+    AttackReport,
+    Protocol2Report,
+    RoundReport,
+    _random_blocks,
+    _stream,
+    intercept_resend,
+    simulate_protocol2_bits,
+)
+from twoway_qkd.steps import StepKind
+
+
+def reference_simulate_protocol2_bits(channel, seq, n, seed):
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    traj = evolve(seq, channel, prepare_and_measure=True)
+    rng = _stream(seed, 0)
+    alice = rng.integers(0, 2, n, dtype=np.uint8)
+    bob = alice ^ (rng.random(n) < channel.pz).astype(np.uint8)
+
+    rounds = []
+    for rec in traj.records:
+        size = alice.size
+        if size < rec.kind.block_size:
+            break
+        cols = _random_blocks(seed, rec.step_index, size, rec.kind.block_size)
+        if rec.kind is StepKind.B:
+            keep = (alice[cols[0]] ^ alice[cols[1]]) == (bob[cols[0]] ^ bob[cols[1]])
+            alice = alice[cols[0]][keep]
+            bob = bob[cols[0]][keep]
+        else:  # P
+            alice = alice[cols[0]] ^ alice[cols[1]] ^ alice[cols[2]]
+            bob = bob[cols[0]] ^ bob[cols[1]] ^ bob[cols[2]]
+        n_kept = int(alice.size)
+        disagreements = int(np.count_nonzero(alice != bob))
+        pred = rec.params.pz
+        rounds.append(
+            RoundReport(
+                index=rec.step_index,
+                kind=rec.kind,
+                n_in=size,
+                n_kept=n_kept,
+                disagreements=disagreements,
+                rate_hat=disagreements / n_kept if n_kept else 0.0,
+                rate_pred=pred,
+                stderr=math.sqrt(pred * (1.0 - pred) / n_kept) if n_kept else 0.0,
+            )
+        )
+        if n_kept == 0:
+            break
+    return Protocol2Report(channel, seq, n, seed, tuple(rounds), traj)
+
+
+def reference_intercept_resend(protocol, n, seed, eve_matches_basis=False):
+    if protocol not in ("bb84", "sixstate"):
+        raise ValueError(f"unknown protocol {protocol!r}; expected bb84 or sixstate")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    n_bases = 2 if protocol == "bb84" else 3
+    rng = _stream(seed, 0)
+    alice_basis = rng.integers(0, n_bases, n)
+    alice_bit = rng.integers(0, 2, n, dtype=np.uint8)
+    if eve_matches_basis:
+        eve_basis = alice_basis
+    else:
+        eve_basis = rng.integers(0, n_bases, n)
+    eve_bit = np.where(
+        eve_basis == alice_basis, alice_bit, rng.integers(0, 2, n, dtype=np.uint8)
+    )
+    bob_basis = rng.integers(0, n_bases, n)
+    bob_bit = np.where(
+        bob_basis == eve_basis, eve_bit, rng.integers(0, 2, n, dtype=np.uint8)
+    )
+    sifted_mask = bob_basis == alice_basis
+    sifted = int(np.count_nonzero(sifted_mask))
+    errors = int(np.count_nonzero(alice_bit[sifted_mask] != bob_bit[sifted_mask]))
+    rate = errors / sifted if sifted else 0.0
+    return AttackReport(
+        protocol=protocol,
+        n=n,
+        seed=seed,
+        sifted=sifted,
+        sift_fraction=sifted / n,
+        errors=errors,
+        error_rate=rate,
+        stderr=math.sqrt(rate * (1.0 - rate) / sifted) if sifted else 0.0,
+    )
+
+
+SEEDS = [0, 1, 2, 7, 12345]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 2, 7, 20000])
+@pytest.mark.parametrize("eve_matches_basis", [False, True])
+@pytest.mark.parametrize("protocol", ["bb84", "sixstate"])
+def test_attack_report_matches_reference(protocol, eve_matches_basis, n, seed):
+    got = intercept_resend(protocol, n, seed, eve_matches_basis=eve_matches_basis)
+    want = reference_intercept_resend(protocol, n, seed, eve_matches_basis=eve_matches_basis)
+    assert got == want
+
+
+SIMULATIONS = {
+    "bb84 BBBBBPPPPPP": (bb84_family(0.15, 0.0), "BBBBBPPPPPP"),
+    "bb84 BBPP": (bb84_family(0.1, 0.02), "BBPP"),
+    "sixstate BBBBB": (sixstate_channel(0.2), "BBBBB"),
+    "sixstate PB": (sixstate_channel(0.05), "PB"),
+}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 20000])
+@pytest.mark.parametrize("case", sorted(SIMULATIONS))
+def test_simulation_report_matches_reference(case, n, seed):
+    channel, text = SIMULATIONS[case]
+    seq = parse_sequence(text)
+    got = simulate_protocol2_bits(channel, seq, n, seed)
+    want = reference_simulate_protocol2_bits(channel, seq, n, seed)
+    assert got.to_dict() == want.to_dict()
+
+
+def test_grid_reaches_both_early_exits():
+    """The grid above hits a population-exhausted stop and a zero-survivor stop."""
+    exhausted = zero_survivors = False
+    for channel, text in SIMULATIONS.values():
+        seq = parse_sequence(text)
+        for n in (1, 2, 5):
+            for seed in SEEDS:
+                rounds = reference_simulate_protocol2_bits(channel, seq, n, seed).rounds
+                if rounds and rounds[-1].n_kept == 0:
+                    zero_survivors = True
+                elif len(rounds) < len(seq.steps):
+                    exhausted = True
+    assert exhausted and zero_survivors
