@@ -85,10 +85,10 @@ def bb84_family(p: float, a: float) -> PauliChannelParams:
     equal (= p) by the basis symmetry of the protocol; the Y-error rate
     ``a`` is a free parameter.  Returns the channel (p - a, a, p - a).
     """
+    if not 0.0 <= p <= 0.5 + SIMPLEX_TOL:
+        raise ValueError(f"need 0 <= p <= 1/2, got p={p}")
     if not 0.0 <= a <= p + SIMPLEX_TOL:
         raise ValueError(f"need 0 <= a <= p, got a={a}, p={p}")
-    if p > 0.5 + SIMPLEX_TOL:
-        raise ValueError(f"need p <= 1/2, got p={p}")
     a = min(a, p)
     return PauliChannelParams(p - a, a, p - a)
 

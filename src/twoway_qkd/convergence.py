@@ -17,7 +17,7 @@ from itertools import cycle, islice
 from math import isfinite, nan
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
-from .keyrates import NumericalError, binary_entropy, one_minus_binary_entropy
+from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
 from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES, _RATE_FUNCS
 
 FIXED = "fixed"
@@ -152,14 +152,14 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A sequence evolution: the raw rates of every computed round and its CSS verdict.
+    """A sequence evolution: the raw rates of every round and its CSS verdict.
 
-    ``rounds`` holds one ``(qx, qy, qz, ps)`` tuple per round the kernel
-    computed.  :attr:`records` are built from these raw per-round rates on
-    first read, so a trajectory whose records nobody reads costs about what
-    its verdict does.  A diverged alternating run that stopped at a
-    repeated state keeps only the rounds up to the repeat; its records
-    repeat the last two of them up to ``max_rounds``.
+    ``rounds`` holds one ``(qx, qy, qz, ps)`` tuple per round of the
+    sequence that ran.  A diverged alternating run that stopped at a
+    repeated state holds all ``max_rounds`` rounds; those past the repeat
+    are copies of the last two computed ones.  :attr:`records` are built
+    from these raw per-round rates on first read, so a trajectory whose
+    records nobody reads costs about what its verdict does.
     """
 
     initial: PauliChannelParams
@@ -167,16 +167,6 @@ class Trajectory:
     rounds: tuple[tuple[float, float, float, float], ...]
     converged: bool
     diagnostic: str | None = None
-
-    @property
-    def _cycled(self) -> bool:
-        """True when the rounds stop at a repeated state short of ``max_rounds``."""
-        seq = self.sequence
-        return (
-            seq.policy == ALTERNATING
-            and not self.converged
-            and len(self.rounds) < seq.max_rounds
-        )
 
     def _kinds(self):
         if self.sequence.policy == ALTERNATING:
@@ -186,16 +176,11 @@ class Trajectory:
     @cached_property
     def records(self) -> tuple[TrajectoryRecord, ...]:
         """One record per round, built from ``rounds`` on first read."""
-        steps = [
-            (kind, PauliChannelParams(qx, qy, qz), ps)
-            for kind, (qx, qy, qz, ps) in zip(self._kinds(), self.rounds)
-        ]
-        if self._cycled:  # rounds i + 1, i + 2, ... repeat rounds i - 1 and i
-            steps += islice(cycle(steps[-2:]), self.sequence.max_rounds - len(steps))
         records = []
         cum_yield = 1.0
-        for index, (kind, params, ps) in enumerate(steps, 1):
+        for index, (kind, (qx, qy, qz, ps)) in enumerate(zip(self._kinds(), self.rounds), 1):
             cum_yield *= ps / _BLOCK_SIZES[kind]
+            params = PauliChannelParams(qx, qy, qz)
             records.append(TrajectoryRecord(index, kind, params, ps, cum_yield))
         return tuple(records)
 
@@ -206,15 +191,10 @@ class Trajectory:
         The maps clamp their outputs at 0, so these are the rates of
         :attr:`final_params` without building it.
         """
-        rounds = self.rounds
-        if not rounds:
+        if not self.rounds:
             c = self.initial
             return c.qx, c.qy, c.qz
-        # A cycled run stops at round i = len(rounds); round max_rounds then
-        # repeats round i when max_rounds - i is even, round i - 1 when odd.
-        if self._cycled and (self.sequence.max_rounds - len(rounds)) % 2:
-            return rounds[-2][:3]
-        return rounds[-1][:3]
+        return self.rounds[-1][:3]
 
     @cached_property
     def final_params(self) -> PauliChannelParams:
@@ -222,8 +202,6 @@ class Trajectory:
 
     @property
     def cumulative_yield(self) -> float:
-        if self._cycled:
-            return self.records[-1].cumulative_yield
         cum_yield = 1.0
         for kind, (_, _, _, ps) in zip(self._kinds(), self.rounds):
             cum_yield *= ps / _BLOCK_SIZES[kind]
@@ -264,7 +242,6 @@ def _evolve_rounds(
     seq: StepSequence,
     c: PauliChannelParams,
     rounds: list[tuple[float, float, float, float]] | None = None,
-    prepare_and_measure: bool = False,
 ) -> bool:
     """Evolution kernel of :func:`evolve` and :func:`_converges`.
 
@@ -289,11 +266,6 @@ def _evolve_rounds(
         kinds = seq.steps
     maps = _RATE_FUNCS
     for kind in kinds:
-        if prepare_and_measure and kind.epp_only:
-            raise ProtocolClassError(
-                f"step {kind} is EPP-only and cannot appear in a "
-                "prepare-and-measure sequence"
-            )
         step = maps[kind](qx, qy, qz)
         qx, qy, qz, _ = step
         if rounds is not None:
@@ -315,15 +287,23 @@ def evolve(
 ) -> Trajectory:
     """Apply a step sequence to a channel and test CSS viability.
 
-    With ``prepare_and_measure`` set, EPP-only steps (Bx) are rejected.  An
-    alternating run that never reaches CSS viability is non-converged with
-    the diagnostic ``no CSS viability within N rounds``.  The trajectory
-    keeps the raw per-round rates; its records are built from them on
-    first read.
+    With ``prepare_and_measure`` set, a sequence holding an EPP-only step
+    (Bx) is rejected before any round runs.  An alternating run that never
+    reaches CSS viability is non-converged with the diagnostic ``no CSS
+    viability within N rounds`` and holds all N rounds; those past a
+    repeated state are copies (see :class:`Trajectory`).  Its records are
+    built from the raw per-round rates on first read.
     """
+    if prepare_and_measure and any(k.epp_only for k in seq.steps):
+        raise ProtocolClassError(  # Bx is the one EPP-only kind
+            f"step {StepKind.BX} is EPP-only and cannot appear in a "
+            "prepare-and-measure sequence"
+        )
     rounds: list[tuple[float, float, float, float]] = []
-    converged = _evolve_rounds(seq, c, rounds, prepare_and_measure)
+    converged = _evolve_rounds(seq, c, rounds)
     diverged = seq.policy == ALTERNATING and not converged
+    if diverged:  # a cycled run's remaining rounds repeat its last two
+        rounds += islice(cycle(rounds[-2:]), seq.max_rounds - len(rounds))
     return Trajectory(
         initial=c,
         sequence=seq,
@@ -423,15 +403,7 @@ def find_threshold(
             family,
             diagnostic=f"no convergence even at p = {tol}",
         )
-    lo, hi = tol, upper
-    for _ in range(60):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if conv(mid):
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(conv, tol, upper, tol)
     return ThresholdResult(0.5 * (lo + hi), (lo, hi), seq, family)
 
 
@@ -565,7 +537,8 @@ def optimize_sequence(
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
 
-    bisected: list[tuple[StepSequence, ThresholdResult]] = []
+    best_seq = best_res = None
+    best_rate = 0.0
     best_threshold = None  # prune hint; conservative, never affects result
     prefixes = None  # prune verdicts at best_threshold - 2*tol
     for length in range(1, max_len + 1):
@@ -580,7 +553,15 @@ def optimize_sequence(
                 res = find_threshold(seq, family, tol)
             except NumericalError:
                 continue
-            bisected.append((seq, res))
+            if best_res is None or res.threshold_p > best_res.threshold_p + tol:
+                best_seq, best_res = seq, res
+                best_rate = _net_rate_near_threshold(seq, family, res.threshold_p)
+            elif res.threshold_p >= best_res.threshold_p - tol:
+                rate = _net_rate_near_threshold(seq, family, res.threshold_p)
+                if rate > best_rate + 1e-12 or (
+                    abs(rate - best_rate) <= 1e-12 and len(seq.steps) < len(best_seq.steps)
+                ):
+                    best_seq, best_res, best_rate = seq, res, rate
             if best_threshold is None or res.threshold_p > best_threshold:
                 best_threshold = res.threshold_p
                 probe = max(best_threshold - 2.0 * tol, 0.0)
@@ -589,23 +570,5 @@ def optimize_sequence(
                     if probe > 0.0
                     else None
                 )
-
-    best_seq = None
-    best_res = None
-    best_rate = 0.0
-    for seq, res in bisected:
-        if best_res is None:
-            best_seq, best_res = seq, res
-            best_rate = _net_rate_near_threshold(seq, family, res.threshold_p)
-            continue
-        if res.threshold_p > best_res.threshold_p + tol:
-            best_seq, best_res = seq, res
-            best_rate = _net_rate_near_threshold(seq, family, res.threshold_p)
-        elif res.threshold_p >= best_res.threshold_p - tol:
-            rate = _net_rate_near_threshold(seq, family, res.threshold_p)
-            if rate > best_rate + 1e-12 or (
-                abs(rate - best_rate) <= 1e-12 and len(seq.steps) < len(best_seq.steps)
-            ):
-                best_seq, best_res, best_rate = seq, res, rate
     assert best_seq is not None and best_res is not None
     return best_seq, best_res

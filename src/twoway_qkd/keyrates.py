@@ -96,6 +96,24 @@ def shor_preskill_rate(p: float) -> KeyRateReport:
     )
 
 
+def _inamori_rate(p: float, phase_divisor: float, scheme: str) -> KeyRateReport:
+    """rate = (1-p) [1 - h(p/(phase_divisor (1-p)))] - h(p), with its components."""
+    sacrificed = binary_entropy(p)
+    reconciled = 1.0 - p
+    pa_fraction = binary_entropy(p / (phase_divisor * (1.0 - p)))
+    return KeyRateReport(
+        scheme=scheme,
+        p=p,
+        rate=reconciled * (1.0 - pa_fraction) - sacrificed,
+        components={
+            "sacrificed_fraction": sacrificed,
+            "reconciled_fraction": reconciled,
+            "pa_fraction": pa_fraction,
+        },
+        note="per sifted bit; rate = reconciled * (1 - pa) - sacrificed",
+    )
+
+
 def inamori_bb84_rate(p: float) -> KeyRateReport:
     """BB84 rate for the pre-shared-key reconciliation scheme.
 
@@ -106,20 +124,7 @@ def inamori_bb84_rate(p: float) -> KeyRateReport:
     """
     if not 0.0 <= p < 0.5:
         raise ValueError(f"need 0 <= p < 1/2, got p={p}")
-    sacrificed = binary_entropy(p)
-    reconciled = 1.0 - p
-    pa_fraction = binary_entropy(p / (1.0 - p))
-    return KeyRateReport(
-        scheme="inamori_bb84",
-        p=p,
-        rate=reconciled * (1.0 - pa_fraction) - sacrificed,
-        components={
-            "sacrificed_fraction": sacrificed,
-            "reconciled_fraction": reconciled,
-            "pa_fraction": pa_fraction,
-        },
-        note="per sifted bit; rate = reconciled * (1 - pa) - sacrificed",
-    )
+    return _inamori_rate(p, 1.0, "inamori_bb84")
 
 
 def inamori_sixstate_rate(p: float) -> KeyRateReport:
@@ -131,20 +136,26 @@ def inamori_sixstate_rate(p: float) -> KeyRateReport:
     """
     if not 0.0 <= p < 2.0 / 3.0:
         raise ValueError(f"need 0 <= p < 2/3, got p={p}")
-    sacrificed = binary_entropy(p)
-    reconciled = 1.0 - p
-    pa_fraction = binary_entropy(p / (2.0 * (1.0 - p)))
-    return KeyRateReport(
-        scheme="inamori_sixstate",
-        p=p,
-        rate=reconciled * (1.0 - pa_fraction) - sacrificed,
-        components={
-            "sacrificed_fraction": sacrificed,
-            "reconciled_fraction": reconciled,
-            "pa_fraction": pa_fraction,
-        },
-        note="per sifted bit; rate = reconciled * (1 - pa) - sacrificed",
-    )
+    return _inamori_rate(p, 2.0, "inamori_sixstate")
+
+
+def _bisect(
+    holds: Callable[[float], bool], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Halve [lo, hi], where ``holds(lo)`` and not ``holds(hi)``, to width ``tol``.
+
+    Returns the final bracket.  At most 60 halvings run, so a ``tol``
+    below the floats' resolution at the bracket still ends the loop.
+    """
+    for _ in range(60):
+        if hi - lo <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def rate_threshold(
@@ -174,14 +185,7 @@ def rate_threshold(
         lo = p
     if hi is None:
         raise NumericalError(f"rate has no sign change on (0, {upper}]")
-    for _ in range(60):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if value(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda p: value(p) > 0.0, lo, hi, tol)
     return 0.5 * (lo + hi)
 
 

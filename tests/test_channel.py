@@ -132,6 +132,11 @@ class TestBB84Family:
         with pytest.raises(ValueError, match="1/2"):
             bb84_family(0.6, 0.0)
 
+    @pytest.mark.parametrize("p", [float("nan"), -0.1])
+    def test_p_checked_before_a(self, p):
+        with pytest.raises(ValueError, match="need 0 <= p <= 1/2"):
+            bb84_family(p, 0.0)
+
 
 class TestSixstateChannel:
     def test_threshold_point(self):

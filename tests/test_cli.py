@@ -299,6 +299,14 @@ class TestChannelArguments:
         code, _, _ = run_capture(capsys, argv)
         assert code == 0
 
+    @pytest.mark.parametrize("p", ["nan", "-0.1"])
+    def test_bad_bb84_p_is_blamed_on_p(self, capsys, p):
+        argv = ["evolve", "--family", "bb84", "--p", p, "--sequence", "B"]
+        code, out, err = run_capture(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: --p/--a: need 0 <= p <= 1/2, got p={p}" in err
+
 
 class TestKeyrateArguments:
     ONE_WAY = ["keyrate", "--scheme", "inamori_bb84", "--p", "0.05"]

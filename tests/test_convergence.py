@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import random_channels
+from conftest import CountingMaps, random_channels
 from twoway_qkd import (
     PauliChannelParams,
     ProtocolClassError,
@@ -168,6 +168,22 @@ class TestEvolve:
             evolve(seq, sixstate_channel(0.05), prepare_and_measure=True)
         # allowed when the trajectory is not flagged prepare-and-measure
         assert evolve(seq, sixstate_channel(0.05), prepare_and_measure=False) is not None
+
+    def test_bx_rejected_before_any_round_runs(self, monkeypatch):
+        maps = CountingMaps(monkeypatch)
+        with pytest.raises(ProtocolClassError, match="^step Bx is EPP-only"):
+            evolve(StepSequence.fixed("BBx"), sixstate_channel(0.05), prepare_and_measure=True)
+        assert maps.calls == 0
+
+    def test_cycled_alternation_holds_every_round(self, monkeypatch):
+        maps = CountingMaps(monkeypatch)
+        t = evolve(StepSequence.alternating(200), sixstate_channel(0.28))
+        assert not t.converged
+        assert maps.calls < 40
+        assert len(t.rounds) == 200
+        # rounds past the computed ones are copies of the last two
+        assert all(t.rounds[k] is t.rounds[k - 2] for k in range(maps.calls, 200))
+        assert t.final_params == t.records[-1].params
 
     def test_converged_iff_css_above_margin(self):
         for p in (0.05, 0.2, 0.25, 0.3):
