@@ -24,6 +24,8 @@ from .keyrates import NumericalError
 SCHEMA_VERSION = 1
 FLOAT_DIGITS = 9
 
+_MAX_N = 10**7  # a Monte Carlo run's memory grows linearly in --n: ~125 MB here
+
 
 class UsageError(ValueError):
     """Bad command line; maps to exit status 1, as every ValueError does."""
@@ -81,8 +83,11 @@ def _emit(args, payload: dict, rows: list[dict] | None = None, table: str | None
             table = "\n".join(f"{k:<{width}}  {v}" for k, v in flat) + "\n"
         text = table
     if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"--output: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -207,6 +212,8 @@ def _seed(args) -> int:
 def _n(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n: must be a positive integer, got {args.n}")
+    if args.n > _MAX_N:
+        raise UsageError(f"--n: must be at most {_MAX_N}, got {args.n}")
     return args.n
 
 

@@ -14,7 +14,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import cycle, islice
-from math import isfinite, nan
+from math import isfinite
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
@@ -178,9 +178,14 @@ class Trajectory:
         """One record per round, built from ``rounds`` on first read."""
         records = []
         cum_yield = 1.0
-        for index, (kind, (qx, qy, qz, ps)) in enumerate(zip(self._kinds(), self.rounds), 1):
+        rounds = self.rounds
+        for index, (kind, step) in enumerate(zip(self._kinds(), rounds), 1):
+            qx, qy, qz, ps = step
             cum_yield *= ps / _BLOCK_SIZES[kind]
-            params = PauliChannelParams(qx, qy, qz)
+            if index > 2 and step is rounds[index - 3]:  # a copy shares its channel
+                params = records[-2].params
+            else:
+                params = PauliChannelParams(qx, qy, qz)
             records.append(TrajectoryRecord(index, kind, params, ps, cum_yield))
         return tuple(records)
 
@@ -358,12 +363,7 @@ def _is_monotone(flags: list[bool]) -> bool:
     return True
 
 
-def find_threshold(
-    seq: StepSequence,
-    family: str,
-    tol: float = 1e-4,
-    upper: float = BRACKET_UPPER,
-) -> ThresholdResult:
+def find_threshold(seq: StepSequence, family: str, tol: float = 1e-4) -> ThresholdResult:
     """Bisect for the largest bit error rate at which ``seq`` converges.
 
     Convergence is assumed monotone in p over the bracket; this is
@@ -373,24 +373,22 @@ def find_threshold(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if not 0.0 < upper <= BRACKET_UPPER:
-        raise ValueError(f"upper must lie in (0, {BRACKET_UPPER}], got {upper}")
-    if not 1e-6 <= tol < upper:
-        raise ValueError(f"tol must lie in [1e-6, upper = {upper}), got {tol}")
+    if not 1e-6 <= tol < BRACKET_UPPER:
+        raise ValueError(f"tol must lie in [1e-6, {BRACKET_UPPER}), got {tol}")
 
     def conv(p: float) -> bool:
         return _converges(seq, channel_for_family(family, p))
 
-    spot_flags = [conv(upper * i / 9.0) for i in range(1, 9)]
+    spot_flags = [conv(BRACKET_UPPER * i / 9.0) for i in range(1, 9)]
     if not _is_monotone(spot_flags):
         raise NumericalError(
             "convergence is not monotone in p over the search bracket; "
             f"spot check gave {spot_flags}"
         )
-    if conv(upper):
+    if conv(BRACKET_UPPER):
         return ThresholdResult(
-            upper,
-            (upper - tol, upper),
+            BRACKET_UPPER,
+            (BRACKET_UPPER - tol, BRACKET_UPPER),
             seq,
             family,
             diagnostic="converges at the bracket upper limit",
@@ -403,7 +401,7 @@ def find_threshold(
             family,
             diagnostic=f"no convergence even at p = {tol}",
         )
-    lo, hi = _bisect(conv, tol, upper, tol)
+    lo, hi = _bisect(conv, tol, BRACKET_UPPER, tol)
     return ThresholdResult(0.5 * (lo + hi), (lo, hi), seq, family)
 
 
@@ -474,45 +472,32 @@ def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -
     return t.cumulative_yield * max(t.css_rate, 0.0)
 
 
-class _PrefixStates:
-    """Channel after every B/P prefix at one starting channel, filled lazily.
+def _next_level(shorter: array, first: int = 0) -> array:
+    """States one round on from ``shorter``: B from triple ``first`` on, then P from all."""
+    out = array("d")
+    for kind, start in ((StepKind.B, first), (StepKind.P, 0)):
+        step = _RATE_FUNCS[kind]  # looked up per call: maps substituted by tests or a tracer apply
+        rates = iter(shorter[3 * start :])
+        for qx, qy, qz in zip(rates, rates, rates):
+            out.extend(step(qx, qy, qz)[:3])
+    return out
 
-    B/P strings form a tree in which a string's parent is the string less
-    its last round, so a node's state is one map applied to its parent's.
-    Level ``n`` keeps the (qx, qy, qz) of every length-``n`` string, indexed
-    by its bits (bit ``i`` set = P at round ``i + 1``), in one flat array:
-    NaN marks a state not yet computed.  The states and verdicts are those
-    of :func:`_converges` on the same floats.
+
+def _probe_states(root: PauliChannelParams, length: int, first: int = 0) -> array:
+    """Channel after each length-``length`` B/P string from bits ``first`` on.
+
+    Bit ``i`` set = P at round ``i + 1``, so the strings ending in B (bits
+    below ``half = 2**(length - 1)``) are the B map applied to the level one
+    round shorter, and those ending in P follow as the P map applied to it.
+    The (qx, qy, qz) of ``bits``, the floats :func:`_converges` reaches, sit
+    at flat index ``3 * (bits - first)``.  When ``first`` >= half, only the
+    P half is built, from the matching tail of the shorter level.  A full
+    level costs 2**(length + 1) - 2 map evaluations.
     """
-
-    def __init__(self, root: PauliChannelParams, max_len: int):
-        # Looked up per search, not at import, so maps substituted in
-        # _RATE_FUNCS (by tests or a tracer) are the ones applied.
-        self._maps = (_RATE_FUNCS[StepKind.B], _RATE_FUNCS[StepKind.P])
-        self._root = (root.qx, root.qy, root.qz)
-        self._levels = [array("d")] + [
-            array("d", [nan]) * (3 << n) for n in range(1, max_len + 1)
-        ]
-
-    def converges(self, length: int, bits: int, margin: float) -> bool:
-        levels = self._levels
-        depth = length  # deepest prefix already cached
-        while depth:
-            level = levels[depth]
-            i = 3 * (bits & ((1 << depth) - 1))
-            qx = level[i]
-            if qx == qx:  # not NaN: computed
-                qy, qz = level[i + 1], level[i + 2]
-                break
-            depth -= 1
-        else:
-            qx, qy, qz = self._root
-        for n in range(depth, length):
-            level = levels[n + 1]
-            i = 3 * (bits & ((2 << n) - 1))
-            qx, qy, qz, _ = self._maps[(bits >> n) & 1](qx, qy, qz)
-            level[i], level[i + 1], level[i + 2] = qx, qy, qz
-        return css_key_fraction(qx + qy, qy + qz) > margin
+    if not length:
+        return array("d", (root.qx, root.qy, root.qz))[3 * first :]
+    shorter = _probe_states(root, length - 1, max(first - (1 << (length - 1)), 0))
+    return _next_level(shorter, first)
 
 
 def optimize_sequence(
@@ -530,9 +515,10 @@ def optimize_sequence(
     unable to beat the current best (they already diverge 2*tol below it)
     are pruned, and candidates whose convergence cannot be certified
     monotone in double precision (long runs of one step kind park an error
-    rate within one ulp of 1/2) are skipped.  The prune reuses prefix
-    states: each B/P tree node costs one map evaluation per prune probe,
-    and the result is the same as probing every candidate from scratch.
+    rate within one ulp of 1/2) are skipped.  The prune probes come from a
+    breadth-first level sweep: each length's level grows from the one
+    before, a rise of the best threshold rebuilds the rest of the current
+    length, and the result is that of probing every candidate from scratch.
     """
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
@@ -540,11 +526,18 @@ def optimize_sequence(
     best_seq = best_res = None
     best_rate = 0.0
     best_threshold = None  # prune hint; conservative, never affects result
-    prefixes = None  # prune verdicts at best_threshold - 2*tol
+    probe_root = None  # channel at best_threshold - 2*tol, once that is above 0
+    level, first = None, 0  # probe states of this length's strings from bits `first` on
     for length in range(1, max_len + 1):
+        if probe_root is not None:  # grow a full level by one round, rebuild a partial one
+            level = _next_level(level) if first == 0 else _probe_states(probe_root, length)
+            first = 0
         for bits in range(1 << length):
-            if prefixes is not None and not prefixes.converges(length, bits, css_margin):
-                continue
+            if level is not None:
+                at = 3 * (bits - first)
+                qx, qy, qz = level[at : at + 3]
+                if not css_key_fraction(qx + qy, qy + qz) > css_margin:
+                    continue
             seq = StepSequence.fixed(
                 tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
                 css_margin=css_margin,
@@ -565,10 +558,8 @@ def optimize_sequence(
             if best_threshold is None or res.threshold_p > best_threshold:
                 best_threshold = res.threshold_p
                 probe = max(best_threshold - 2.0 * tol, 0.0)
-                prefixes = (
-                    _PrefixStates(channel_for_family(family, probe), max_len)
-                    if probe > 0.0
-                    else None
-                )
+                probe_root = channel_for_family(family, probe) if probe > 0.0 else None
+                first = bits + 1
+                level = None if probe_root is None else _probe_states(probe_root, length, first)
     assert best_seq is not None and best_res is not None
     return best_seq, best_res

@@ -158,15 +158,15 @@ def _bisect(
     return lo, hi
 
 
-def rate_threshold(
-    rate_fn: Callable[[float], "KeyRateReport | float"],
-    upper: float = 0.45,
-    tol: float = 1e-6,
-) -> float:
+_RATE_UPPER = 0.45
+_RATE_TOL = 1e-6
+
+
+def rate_threshold(rate_fn: Callable[[float], "KeyRateReport | float"]) -> float:
     """Largest tolerable bit error rate of a rate formula (root of rate = 0).
 
-    Scans (0, upper] for a sign change, then bisects to ``tol``.  Requires
-    a positive rate at p = 0 and a non-positive value somewhere in range.
+    Scans (0, _RATE_UPPER] for a sign change, then bisects to _RATE_TOL.
+    Requires a positive rate at p = 0 and a non-positive one in range.
     """
 
     def value(p: float) -> float:
@@ -178,14 +178,14 @@ def rate_threshold(
     lo = 0.0
     hi = None
     for k in range(1, 65):
-        p = upper * k / 64.0
+        p = _RATE_UPPER * k / 64.0
         if value(p) <= 0.0:
             hi = p
             break
         lo = p
     if hi is None:
-        raise NumericalError(f"rate has no sign change on (0, {upper}]")
-    lo, hi = _bisect(lambda p: value(p) > 0.0, lo, hi, tol)
+        raise NumericalError(f"rate has no sign change on (0, {_RATE_UPPER}]")
+    lo, hi = _bisect(lambda p: value(p) > 0.0, lo, hi, _RATE_TOL)
     return 0.5 * (lo + hi)
 
 

@@ -213,6 +213,14 @@ class TestAttackCommand:
         assert out == ""
         assert f"error: --n: must be a positive integer, got {n}" in err
 
+    @pytest.mark.parametrize("argv", MC_ARGV, ids=["attack", "simulate"])
+    def test_oversized_n_is_named(self, capsys, argv):
+        # rejected before any draw, so the oversized run never starts
+        code, out, err = run_capture(capsys, [*argv, "--n", "10000001"])
+        assert code == 1
+        assert out == ""
+        assert "error: --n: must be at most 10000000, got 10000001" in err
+
 
 class TestOptimizeCommand:
     def test_small_search(self, capsys):
@@ -360,6 +368,13 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["schema"] == 1
+
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["no-dir", "a-dir"])
+    def test_unwritable_output_is_named(self, capsys, tmp_path, target):
+        code, out, err = run_capture(capsys, ["bounds", "--output", str(tmp_path / target)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --output: ")
 
     def test_floats_serialized_at_nine_digits(self, capsys):
         _, out, _ = run_capture(

@@ -165,13 +165,13 @@ class TestRateThreshold:
         assert rate_threshold(inamori_sixstate_rate) > bb84
 
     def test_accepts_plain_float_functions(self):
-        assert rate_threshold(lambda p: 0.2 - p, upper=0.45) == pytest.approx(0.2, abs=1e-5)
+        assert rate_threshold(lambda p: 0.2 - p) == pytest.approx(0.2, abs=1e-5)
 
     def test_no_sign_change_is_an_error(self):
         with pytest.raises(NumericalError, match="sign change"):
-            rate_threshold(lambda p: 1.0 + p, upper=0.45)
+            rate_threshold(lambda p: 1.0 + p)
         with pytest.raises(NumericalError, match="positive"):
-            rate_threshold(lambda p: -1.0, upper=0.45)
+            rate_threshold(lambda p: -1.0)
 
 
 class TestTwoWayNetRate:

@@ -1,4 +1,10 @@
-"""The prefix-cached optimizer against a per-candidate reference search."""
+"""The level-sweep optimizer against a per-candidate reference search.
+
+``optimize_sequence`` reads its prune verdicts from breadth-first levels of
+probe states (``_probe_states``), grown by one round per length and rebuilt
+for the rest of a length when the best threshold rises.
+``reference_optimize`` probes every candidate from scratch.
+"""
 
 import pytest
 from conftest import CountingMaps
@@ -7,8 +13,9 @@ from twoway_qkd import StepKind, StepSequence, find_threshold, optimize_sequence
 from twoway_qkd.convergence import (
     DEFAULT_CSS_MARGIN,
     _converges,
+    _evolve_rounds,
     _net_rate_near_threshold,
-    _PrefixStates,
+    _probe_states,
     channel_for_family,
 )
 from twoway_qkd.keyrates import NumericalError
@@ -68,10 +75,6 @@ def summary(found):
     return str(seq), res.threshold_p, res.bracket, res.diagnostic
 
 
-def all_strings(max_len):
-    return [(n, bits) for n in range(1, max_len + 1) for bits in range(1 << n)]
-
-
 def as_sequence(length, bits):
     return StepSequence.fixed("".join("P" if (bits >> i) & 1 else "B" for i in range(length)))
 
@@ -85,28 +88,40 @@ def test_identical_to_reference(family, tol, max_len):
     )
 
 
-class TestPrefixStates:
+def test_identical_to_reference_past_a_mid_length_rise():
+    # The probe rises twice late in length 13 (bits 8008 and 8072), so the
+    # rest of that length and all of length 14 use rebuilt levels.
+    assert summary(optimize_sequence("bb84_worst", 14)) == summary(
+        reference_optimize("bb84_worst", 14)
+    )
+
+
+def final_state(root, length, bits):
+    rounds = []
+    _evolve_rounds(as_sequence(length, bits), root, rounds)
+    return rounds[-1][:3]
+
+
+class TestProbeStates:
     @pytest.mark.parametrize("family,p", [("sixstate", 0.26), ("bb84_worst", 0.18)])
-    def test_verdicts_match_converges(self, family, p):
+    def test_states_match_the_kernel(self, family, p):
         root = channel_for_family(family, p)
-        prefixes = _PrefixStates(root, 6)
-        for n, bits in all_strings(6):
-            assert prefixes.converges(n, bits, DEFAULT_CSS_MARGIN) == _converges(
-                as_sequence(n, bits), root
-            )
+        for length in range(1, 7):
+            expected = [final_state(root, length, bits) for bits in range(1 << length)]
+            for first in range((1 << length) + 1):  # 2**length: past the last string
+                states = _probe_states(root, length, first)
+                assert len(states) == 3 * ((1 << length) - first)
+                for bits in range(first, 1 << length):
+                    at = 3 * (bits - first)
+                    assert tuple(states[at : at + 3]) == expected[bits]
 
-    def test_one_map_evaluation_per_tree_node(self, monkeypatch):
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_one_map_evaluation_per_tree_node(self, monkeypatch, length):
         maps = CountingMaps(monkeypatch)
-        prefixes = _PrefixStates(channel_for_family("sixstate", 0.2), 5)
-        for n, bits in all_strings(5):
-            prefixes.converges(n, bits, DEFAULT_CSS_MARGIN)
-        assert maps.calls == 2 + 4 + 8 + 16 + 32
+        _probe_states(channel_for_family("sixstate", 0.2), length)
+        assert maps.calls == (2 << length) - 2
 
-    def test_deep_string_fills_its_prefixes(self, monkeypatch):
+    def test_p_half_is_built_from_the_shorter_tail(self, monkeypatch):
         maps = CountingMaps(monkeypatch)
-        prefixes = _PrefixStates(channel_for_family("sixstate", 0.2), 5)
-        prefixes.converges(5, 0b10110, DEFAULT_CSS_MARGIN)
-        assert maps.calls == 5
-        for n in range(1, 6):
-            prefixes.converges(n, 0b10110 & ((1 << n) - 1), DEFAULT_CSS_MARGIN)
-        assert maps.calls == 5
+        _probe_states(channel_for_family("sixstate", 0.2), 6, (1 << 6) - 1)
+        assert maps.calls == 6  # PPPPPP alone: one map per round
