@@ -16,15 +16,15 @@ import math
 from dataclasses import dataclass
 
 # Validation tolerance: violations beyond this are rejected, while smaller
-# negative round-off (iterated maps produce ~1e-17-scale noise) is clamped
-# to zero.
+# negative rates are clamped to zero.  It governs validation only; the step
+# maps clamp their outputs at 0 (see ``steps``).
 SIMPLEX_TOL = 1e-12
 
 
 def _checked_rate(value: float, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if value < 0.0:
+    if value <= 0.0:  # -0.0 and negative round-off both become +0.0
         if value < -SIMPLEX_TOL:
             raise ValueError(f"{name} must be >= 0, got {value}")
         return 0.0
@@ -37,8 +37,8 @@ class PauliChannelParams:
 
     Invariants: each rate is non-negative and ``qx + qy + qz <= 1``; the
     identity rate ``qi = 1 - qx - qy - qz`` is derived, not stored.
-    Negative round-off within ``SIMPLEX_TOL`` is clamped to zero so that
-    iterated maps stay inside the simplex.
+    Negative round-off within ``SIMPLEX_TOL`` is clamped to zero, and every
+    zero rate, -0.0 included, is stored as +0.0.
     """
 
     qx: float

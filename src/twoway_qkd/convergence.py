@@ -59,6 +59,26 @@ def css_key_fraction(f1: float, f2: float) -> float:
     return one_minus_binary_entropy(near) - binary_entropy(far)
 
 
+def _css_viable(qx: float, qy: float, qz: float, margin: float) -> bool:
+    """``css_key_fraction(qx + qy, qy + qz) > margin``, most states decided without a log.
+
+    Topsoe's h(x) >= 4x(1 - x) bounds the key fraction in bias form:
+    1 - h(f1) - h(f2) <= lz**2 + lx**2 - 1, with lz = 1 - 2 f1 and
+    lx = 1 - 2 f2.  Both sides are computed to about 1e-15, far inside a
+    1e-9 gap, so a bound below ``margin - 1e-9`` rejects only states whose
+    fraction fails the margin too.  Every other state, NaN included, goes
+    to :func:`css_key_fraction`; for rates in [0, 1], the only ones the
+    kernel makes, the verdict is that of the fraction itself.
+    """
+    f1 = qx + qy
+    f2 = qy + qz
+    lz = 1.0 - 2.0 * f1
+    lx = 1.0 - 2.0 * f2
+    if lz * lz + lx * lx - 1.0 < margin - 1e-9:
+        return False
+    return css_key_fraction(f1, f2) > margin
+
+
 @dataclass(frozen=True)
 class StepSequence:
     """Ordered protocol descriptor: distillation rounds plus CSS stage.
@@ -263,7 +283,7 @@ def _evolve_rounds(
     qx, qy, qz = c.qx, c.qy, c.qz
     alternating = seq.policy == ALTERNATING
     if alternating:
-        if css_key_fraction(qx + qy, qy + qz) > margin:
+        if _css_viable(qx, qy, qz, margin):
             return True
         kinds = islice(cycle((StepKind.B, StepKind.P)), seq.max_rounds)
         before_last = last = None  # states after rounds i - 2 and i - 1
@@ -279,10 +299,10 @@ def _evolve_rounds(
             state = (qx, qy, qz)
             if state == before_last:
                 return False
-            if css_key_fraction(qx + qy, qy + qz) > margin:
+            if _css_viable(qx, qy, qz, margin):
                 return True
             before_last, last = last, state
-    return not alternating and css_key_fraction(qx + qy, qy + qz) > margin
+    return not alternating and _css_viable(qx, qy, qz, margin)
 
 
 def evolve(
@@ -500,6 +520,12 @@ def _probe_states(root: PauliChannelParams, length: int, first: int = 0) -> arra
     return _next_level(shorter, first)
 
 
+def _screen(level: array, margin: float) -> list[bool]:
+    """CSS verdict of each (qx, qy, qz) state of ``level``, in one pass."""
+    rates = iter(level)
+    return [_css_viable(qx, qy, qz, margin) for qx, qy, qz in zip(rates, rates, rates)]
+
+
 def optimize_sequence(
     family: str,
     max_len: int,
@@ -528,16 +554,15 @@ def optimize_sequence(
     best_threshold = None  # prune hint; conservative, never affects result
     probe_root = None  # channel at best_threshold - 2*tol, once that is above 0
     level, first = None, 0  # probe states of this length's strings from bits `first` on
+    viable = None  # the screen of `level`: which of those strings converge at the probe
     for length in range(1, max_len + 1):
         if probe_root is not None:  # grow a full level by one round, rebuild a partial one
             level = _next_level(level) if first == 0 else _probe_states(probe_root, length)
             first = 0
+            viable = _screen(level, css_margin)
         for bits in range(1 << length):
-            if level is not None:
-                at = 3 * (bits - first)
-                qx, qy, qz = level[at : at + 3]
-                if not css_key_fraction(qx + qy, qy + qz) > css_margin:
-                    continue
+            if viable is not None and not viable[bits - first]:
+                continue
             seq = StepSequence.fixed(
                 tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
                 css_margin=css_margin,
@@ -561,5 +586,6 @@ def optimize_sequence(
                 probe_root = channel_for_family(family, probe) if probe > 0.0 else None
                 first = bits + 1
                 level = None if probe_root is None else _probe_states(probe_root, length, first)
+                viable = None if level is None else _screen(level, css_margin)
     assert best_seq is not None and best_res is not None
     return best_seq, best_res

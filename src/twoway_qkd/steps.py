@@ -19,9 +19,13 @@ Three step kinds act on a population of shared pairs carrying independent
 
 Each map takes raw rates (qx, qy, qz) and returns the rates after the
 round with the block survival probability ``ps`` (1 for P); the kept
-fraction of a round is ``ps / kind.block_size``.  ``_RATE_FUNCS`` keys the
-maps by :class:`StepKind` and is the one way the package applies a round;
-``_BLOCK_SIZES`` holds the block sizes; per-round loops read it, not the property.
+fraction of a round is ``ps / kind.block_size``.  Each output rate is
+clamped at 0 with a branch, ``v if v > 0.0 else 0.0``: a rate that round-off
+drives below zero (mostly where qi = 1 - qx - qy - qz is tiny) comes out as
++0.0, and so do -0.0 and NaN.  ``_RATE_FUNCS`` keys the maps by
+:class:`StepKind` and is the one way the package applies a round;
+``_BLOCK_SIZES`` holds the block sizes; per-round loops read it, not the
+property.
 The tests hold the independent oracles: an exhaustive enumeration of Pauli
 configurations, and the recursion in (pz, px, delta) coordinates used by
 the worst-case analysis (``tests/oracles.py``).
@@ -60,10 +64,13 @@ def _b_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, floa
     pz = qx + qy
     ps = 1.0 - 2.0 * pz * (1.0 - pz)  # >= 1/2: the division is always safe
     qi = 1.0 - qx - qy - qz
+    nqx = (qx * qx + qy * qy) / ps
+    nqy = 2.0 * qx * qy / ps
+    nqz = 2.0 * qi * qz / ps
     return (
-        max(0.0, (qx * qx + qy * qy) / ps),
-        max(0.0, 2.0 * qx * qy / ps),
-        max(0.0, 2.0 * qi * qz / ps),
+        nqx if nqx > 0.0 else 0.0,
+        nqy if nqy > 0.0 else 0.0,
+        nqz if nqz > 0.0 else 0.0,
         ps,
     )
 
@@ -73,10 +80,13 @@ def _bx_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, flo
     px = qy + qz
     ps = 1.0 - 2.0 * px * (1.0 - px)  # >= 1/2, as for B
     qi = 1.0 - qx - qy - qz
+    nqx = 2.0 * qi * qx / ps
+    nqy = 2.0 * qz * qy / ps
+    nqz = (qz * qz + qy * qy) / ps
     return (
-        max(0.0, 2.0 * qi * qx / ps),
-        max(0.0, 2.0 * qz * qy / ps),
-        max(0.0, (qz * qz + qy * qy) / ps),
+        nqx if nqx > 0.0 else 0.0,
+        nqy if nqy > 0.0 else 0.0,
+        nqz if nqz > 0.0 else 0.0,
         ps,
     )
 
@@ -87,7 +97,12 @@ def _p_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, floa
     nqx = 3.0 * qi * qi * (qx + qy) + 6.0 * qi * qx * qz + 3.0 * qx * qx * qy + qx**3
     nqy = 6.0 * qi * qy * qz + 3.0 * qx * (qy * qy + qz * qz) + 3.0 * qy * qz * qz + qy**3
     nqz = 3.0 * qi * (qy * qy + qz * qz) + 6.0 * qx * qy * qz + 3.0 * qy * qy * qz + qz**3
-    return max(0.0, nqx), max(0.0, nqy), max(0.0, nqz), 1.0
+    return (
+        nqx if nqx > 0.0 else 0.0,
+        nqy if nqy > 0.0 else 0.0,
+        nqz if nqz > 0.0 else 0.0,
+        1.0,
+    )
 
 
 _RATE_FUNCS = {StepKind.B: _b_rates, StepKind.P: _p_rates, StepKind.BX: _bx_rates}

@@ -10,7 +10,9 @@ Two references that share no formula with the package's maps:
   out in these coordinates.
 
 The tests compare them with ``steps._RATE_FUNCS``, the maps the package
-applies.
+applies.  :data:`MAX_CLAMPED_MAPS` holds the package's formulas with their
+earlier ``max(0.0, ...)`` clamps, the bit-for-bit reference for its branch
+clamps.
 """
 
 from __future__ import annotations
@@ -170,3 +172,41 @@ def enumerate_step_exact(
         fsum(kept[(0, 1)]) / total,
     )
     return params, survival, yield_factor
+
+
+def _b_rates_max(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
+    """B map with ``max(0.0, ...)`` clamps."""
+    pz = qx + qy
+    ps = 1.0 - 2.0 * pz * (1.0 - pz)
+    qi = 1.0 - qx - qy - qz
+    return (
+        max(0.0, (qx * qx + qy * qy) / ps),
+        max(0.0, 2.0 * qx * qy / ps),
+        max(0.0, 2.0 * qi * qz / ps),
+        ps,
+    )
+
+
+def _bx_rates_max(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
+    """Bx map with ``max(0.0, ...)`` clamps."""
+    px = qy + qz
+    ps = 1.0 - 2.0 * px * (1.0 - px)
+    qi = 1.0 - qx - qy - qz
+    return (
+        max(0.0, 2.0 * qi * qx / ps),
+        max(0.0, 2.0 * qz * qy / ps),
+        max(0.0, (qz * qz + qy * qy) / ps),
+        ps,
+    )
+
+
+def _p_rates_max(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
+    """P map with ``max(0.0, ...)`` clamps."""
+    qi = 1.0 - qx - qy - qz
+    nqx = 3.0 * qi * qi * (qx + qy) + 6.0 * qi * qx * qz + 3.0 * qx * qx * qy + qx**3
+    nqy = 6.0 * qi * qy * qz + 3.0 * qx * (qy * qy + qz * qz) + 3.0 * qy * qz * qz + qy**3
+    nqz = 3.0 * qi * (qy * qy + qz * qz) + 6.0 * qx * qy * qz + 3.0 * qy * qy * qz + qz**3
+    return max(0.0, nqx), max(0.0, nqy), max(0.0, nqz), 1.0
+
+
+MAX_CLAMPED_MAPS = {StepKind.B: _b_rates_max, StepKind.P: _p_rates_max, StepKind.BX: _bx_rates_max}

@@ -31,6 +31,21 @@ class TestPauliChannelParams:
         c = PauliChannelParams(0.1, -1e-17, 0.2)
         assert c.qy == 0.0
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PauliChannelParams(-0.0, -0.0, -0.0),
+            lambda: sixstate_channel(-0.0),
+            lambda: bb84_family(-0.0, 0.0),
+        ],
+        ids=["params", "sixstate", "bb84"],
+    )
+    def test_negative_zero_stored_as_positive_zero(self, make):
+        c = make()
+        assert repr(c.to_dict()) == repr(
+            {"qx": 0.0, "qy": 0.0, "qz": 0.0, "pz": 0.0, "px": 0.0, "delta": 0.0}
+        )
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             PauliChannelParams(float("nan"), 0.0, 0.0)

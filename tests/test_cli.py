@@ -112,6 +112,15 @@ class TestEvolveCommand:
         assert code == 1
         assert "--p" in err
 
+    @pytest.mark.parametrize("family", ["sixstate", "bb84"])
+    def test_negative_zero_p_reports_positive_zeros(self, capsys, family):
+        code, out, _ = run_capture(
+            capsys,
+            ["evolve", "--family", family, "--p", "-0.0", "--sequence", "B"],
+        )
+        assert code == 0
+        assert '"qx": 0.0' in out and "-0.0" not in out
+
     def test_oversized_alternation_exits_1(self, capsys):
         code, out, err = run_capture(
             capsys,

@@ -1,5 +1,7 @@
 """Sequence evolution, CSS viability, threshold search, and scans."""
 
+import random
+
 import pytest
 
 from conftest import CountingMaps, random_channels
@@ -21,6 +23,7 @@ from twoway_qkd.convergence import (
     BRACKET_UPPER,
     MAX_ROUNDS,
     _converges,
+    _css_viable,
     _is_monotone,
     channel_for_family,
 )
@@ -41,6 +44,42 @@ class TestCssKeyFraction:
         assert css_key_fraction(0.03, 0.21) == pytest.approx(
             css_key_fraction(0.21, 0.03), abs=1e-15
         )
+
+
+class TestCssViable:
+    """The log-free rejection bound never changes a CSS verdict."""
+
+    MARGINS = (0.0, 1e-30, 0.1)
+
+    @staticmethod
+    def rate_pairs():
+        rng = random.Random(34)
+        pairs = [(rng.random(), rng.random()) for _ in range(4000)]
+        dyadic = [0.0, 0.5, 1.0] + [2.0**-k for k in range(1, 60)]
+        dyadic += [0.5 + sign * 2.0**-k for k in range(2, 54) for sign in (1.0, -1.0)]
+        return pairs + [(f1, f2) for f1 in dyadic for f2 in dyadic]
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    def test_matches_the_key_fraction(self, margin):
+        rejected = 0
+        for f1, f2 in self.rate_pairs():
+            # qy = 0 makes qx + qy and qy + qz exactly f1 and f2
+            assert _css_viable(f1, 0.0, f2, margin) == (css_key_fraction(f1, f2) > margin), (f1, f2)
+            lz, lx = 1.0 - 2.0 * f1, 1.0 - 2.0 * f2
+            rejected += lz * lz + lx * lx - 1.0 < margin - 1e-9
+        assert rejected > 1000  # the bound decides a good share without a log
+
+    @pytest.mark.parametrize("margin", MARGINS)
+    @pytest.mark.parametrize(
+        "rates", [(float("nan"), 0.0, 0.1), (0.1, 0.0, float("nan")), (0.1, float("nan"), 0.1)]
+    )
+    def test_nan_raises_as_the_key_fraction_does(self, rates, margin):
+        qx, qy, qz = rates
+        with pytest.raises(ValueError) as expected:
+            css_key_fraction(qx + qy, qy + qz)
+        with pytest.raises(ValueError) as raised:
+            _css_viable(qx, qy, qz, margin)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestSequenceParsing:

@@ -1,10 +1,14 @@
 """Distillation-step maps against the enumeration and delta-coordinate oracles."""
 
+import math
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from conftest import one_round, random_channels
 from oracles import (
+    MAX_CLAMPED_MAPS,
     DeltaCoords,
     b_step_delta,
     enumerate_step_exact,
@@ -273,3 +277,50 @@ class TestWorstCaseClaim:
                     assert 1.0 - 2.0 * pz - 2.0 * delta > -1e-12
                     kind = StepKind.B if rng.random() < 0.5 else StepKind.P
                     pz, px, delta = rates_in_delta(kind, pz, px, delta)
+
+
+def _roundoff_inputs() -> list[tuple[float, float, float]]:
+    """Rates whose qi = 1 - qx - qy - qz is below zero by round-off, and -0.0 inputs.
+
+    Each triple comes in every order, so each map's qi terms meet a
+    positive partner; (1e-9, 1e-30, ...) makes P's qx term negative.
+    """
+    bases = [(c.qx, c.qy) for c in random_channels(60, seed=32)] + [(1e-9, 1e-30), (0.25, 0.0)]
+    triples = []
+    for qx, qy in bases:
+        qz = 1.0 - qx - qy
+        for _ in range(3):
+            qz = math.nextafter(qz, 2.0)
+            triples.append((qx, qy, qz))
+    triples += [(-0.0, 0.1, 0.2), (-0.0, -0.0, 0.3), (-0.0, -0.0, -0.0), (-0.0, 0.5, 0.5)]
+    return sorted({t for triple in triples for t in permutations(triple)})
+
+
+class TestBranchClamps:
+    """The maps' branch clamps return exactly what ``max(0.0, ...)`` did."""
+
+    GRID = [(i / 8, j / 8, k / 8) for i in range(9) for j in range(9 - i) for k in range(9 - i - j)]
+
+    @staticmethod
+    def assert_same(points):
+        for kind, reference in MAX_CLAMPED_MAPS.items():
+            for q in points:
+                assert repr(_RATE_FUNCS[kind](*q)) == repr(reference(*q)), (kind, q)
+
+    def test_eighths_grid(self):
+        self.assert_same(self.GRID)
+
+    def test_dirichlet_samples(self):
+        self.assert_same([(c.qx, c.qy, c.qz) for c in random_channels(3000, seed=33)])
+
+    def test_roundoff_inputs(self):
+        self.assert_same(_roundoff_inputs())
+
+    def test_roundoff_inputs_fire_every_clamp(self):
+        # all inputs positive and an output of 0.0: only a clamp produces that
+        for kind, step in _RATE_FUNCS.items():
+            fired = [
+                q for q in _roundoff_inputs()
+                if min(q) > 0.0 and 1.0 - sum(q) < 0.0 and 0.0 in step(*q)[:3]
+            ]
+            assert fired, kind
