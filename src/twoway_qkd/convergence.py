@@ -18,6 +18,7 @@ from math import isfinite
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
+from .keyrates import two_way_net_rate
 from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES, _RATE_FUNCS
 
 FIXED = "fixed"
@@ -437,17 +438,6 @@ class WorstCaseScan:
     implication_holds: bool
     vacuous: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "sequence": str(self.sequence),
-            "p": self.p,
-            "a_values": list(self.a_values),
-            "converged": list(self.converged),
-            "converged_at_zero": self.converged_at_zero,
-            "implication_holds": self.implication_holds,
-            "vacuous": self.vacuous,
-        }
-
 
 def worst_case_scan(seq: StepSequence, p: float, grid_size: int) -> WorstCaseScan:
     """Check that a = 0 (no Y errors) is the worst BB84-family member.
@@ -487,9 +477,7 @@ def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -
     """Tie-breaking figure: net key rate 0.01 below the threshold."""
     p = max(threshold - 0.01, 0.0)
     t = evolve(seq, channel_for_family(family, p))
-    if not t.converged:
-        return 0.0
-    return t.cumulative_yield * max(t.css_rate, 0.0)
+    return two_way_net_rate(t).rate if t.converged else 0.0
 
 
 def _next_level(shorter: array, first: int = 0) -> array:
@@ -535,23 +523,24 @@ def optimize_sequence(
     """Exhaustive search over B/P strings up to ``max_len`` steps.
 
     Candidates run in order of length, then of bits (bit ``i`` set = P at
-    round ``i + 1``).  Returns the sequence with the highest threshold; ties
-    (within ``tol``) break toward the higher net key rate 0.01 below
-    threshold, then toward the shorter sequence.  Candidates provably
-    unable to beat the current best (they already diverge 2*tol below it)
-    are pruned, and candidates whose convergence cannot be certified
-    monotone in double precision (long runs of one step kind park an error
-    rate within one ulp of 1/2) are skipped.  The prune probes come from a
-    breadth-first level sweep: each length's level grows from the one
-    before, a rise of the best threshold rebuilds the rest of the current
-    length, and the result is that of probing every candidate from scratch.
+    round ``i + 1``).  The winner is chosen once, after the search: among
+    the candidates whose threshold lies within ``tol`` of the highest one,
+    take the highest net key rate 0.01 below threshold (rates within 1e-12
+    count as equal), then the shorter sequence, then the earlier candidate.
+    Candidates provably unable to come within ``tol`` of the highest
+    threshold (they already diverge 2*tol below the best so far) are pruned,
+    and candidates whose convergence cannot be certified monotone in double
+    precision (long runs of one step kind park an error rate within one ulp
+    of 1/2) are skipped.  The prune probes come from a breadth-first level
+    sweep: each length's level grows from the one before, a rise of the
+    best threshold rebuilds the rest of the current length, and the result
+    is that of probing every candidate from scratch.
     """
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
 
-    best_seq = best_res = None
-    best_rate = 0.0
-    best_threshold = None  # prune hint; conservative, never affects result
+    found = []  # (seq, res) of every bisected candidate, in candidate order
+    best_threshold = None  # highest threshold so far: the prune's reference
     probe_root = None  # channel at best_threshold - 2*tol, once that is above 0
     level, first = None, 0  # probe states of this length's strings from bits `first` on
     viable = None  # the screen of `level`: which of those strings converge at the probe
@@ -571,15 +560,7 @@ def optimize_sequence(
                 res = find_threshold(seq, family, tol)
             except NumericalError:
                 continue
-            if best_res is None or res.threshold_p > best_res.threshold_p + tol:
-                best_seq, best_res = seq, res
-                best_rate = _net_rate_near_threshold(seq, family, res.threshold_p)
-            elif res.threshold_p >= best_res.threshold_p - tol:
-                rate = _net_rate_near_threshold(seq, family, res.threshold_p)
-                if rate > best_rate + 1e-12 or (
-                    abs(rate - best_rate) <= 1e-12 and len(seq.steps) < len(best_seq.steps)
-                ):
-                    best_seq, best_res, best_rate = seq, res, rate
+            found.append((seq, res))
             if best_threshold is None or res.threshold_p > best_threshold:
                 best_threshold = res.threshold_p
                 probe = max(best_threshold - 2.0 * tol, 0.0)
@@ -587,5 +568,9 @@ def optimize_sequence(
                 first = bits + 1
                 level = None if probe_root is None else _probe_states(probe_root, length, first)
                 viable = None if level is None else _screen(level, css_margin)
-    assert best_seq is not None and best_res is not None
-    return best_seq, best_res
+    assert found
+    near = [(seq, res) for seq, res in found if res.threshold_p >= best_threshold - tol]
+    rates = [_net_rate_near_threshold(seq, family, res.threshold_p) for seq, res in near]
+    top = max(rates)
+    tied = [pair for pair, rate in zip(near, rates) if rate >= top - 1e-12]
+    return min(tied, key=lambda pair: len(pair[0].steps))  # the first of the shortest

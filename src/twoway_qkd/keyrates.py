@@ -9,7 +9,7 @@ scheme consumes more secret material than it produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,13 +70,7 @@ class KeyRateReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "p": self.p,
-            "rate": self.rate,
-            "components": dict(self.components),
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def shor_preskill_rate(p: float) -> KeyRateReport:
@@ -89,7 +83,7 @@ def shor_preskill_rate(p: float) -> KeyRateReport:
     # so the two agree bit for bit.
     return KeyRateReport(
         scheme="shor_preskill",
-        p=p,
+        p=p or 0.0,  # -0.0 is stored as +0.0, as the channel rates are
         rate=one_minus_binary_entropy(p) - hp,
         components={"error_correction": hp, "privacy_amplification": hp},
         note="per sifted bit",
@@ -103,7 +97,7 @@ def _inamori_rate(p: float, phase_divisor: float, scheme: str) -> KeyRateReport:
     pa_fraction = binary_entropy(p / (phase_divisor * (1.0 - p)))
     return KeyRateReport(
         scheme=scheme,
-        p=p,
+        p=p or 0.0,
         rate=reconciled * (1.0 - pa_fraction) - sacrificed,
         components={
             "sacrificed_fraction": sacrificed,
@@ -239,13 +233,7 @@ class BoundsTable:
     sixstate: ProtocolBounds
 
     def to_dict(self) -> dict:
-        return {
-            name: {
-                "one_way": {"upper": pb.one_way.upper, "lower": pb.one_way.lower},
-                "two_way": {"upper": pb.two_way.upper, "lower": pb.two_way.lower},
-            }
-            for name, pb in (("bb84", self.bb84), ("sixstate", self.sixstate))
-        }
+        return asdict(self)
 
     def as_text(self) -> str:
         lines = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 from .channel import PauliChannelParams
@@ -82,15 +82,6 @@ class EmpiricalRates:
     qz_hat: float
     n: int
     stderr: tuple[float, float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "qx_hat": self.qx_hat,
-            "qy_hat": self.qy_hat,
-            "qz_hat": self.qz_hat,
-            "n": self.n,
-            "stderr": list(self.stderr),
-        }
 
 
 def sample_flags(c: PauliChannelParams, n: int, seed: int) -> FlagEnsemble:
@@ -268,16 +259,7 @@ class AttackReport:
     stderr: float
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "n": self.n,
-            "seed": self.seed,
-            "sifted": self.sifted,
-            "sift_fraction": self.sift_fraction,
-            "errors": self.errors,
-            "error_rate": self.error_rate,
-            "stderr": self.stderr,
-        }
+        return asdict(self)
 
 
 def intercept_resend(

@@ -176,6 +176,20 @@ class TestKeyrateCommand:
         assert code == 1
         assert "--p" in err
 
+    def test_two_way_missing_p_exits_1(self, capsys):
+        code, out, err = run_capture(
+            capsys, ["keyrate", "--scheme", "two_way", "--sequence", "BBB"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --p: required\n"
+
+    @pytest.mark.parametrize("scheme", ["shor_preskill", "inamori_bb84", "inamori_sixstate"])
+    def test_negative_zero_p_reports_positive_zero(self, capsys, scheme):
+        code, out, _ = run_capture(capsys, ["keyrate", "--scheme", scheme, "--p", "-0.0"])
+        assert code == 0
+        assert '"p": 0.0' in out and "-0.0" not in out
+
 
 class TestAttackCommand:
     def test_bb84_rate(self, capsys):
@@ -240,6 +254,17 @@ class TestOptimizeCommand:
         report = json.loads(out)
         assert code == 0
         assert set(report["best_sequence"]) <= {"B", "P"}
+
+    def test_winner_is_within_tol_of_the_highest_threshold(self, capsys):
+        # BBB (0.248) and BBBBBB (0.267) lie within 0.03 of each other, and BBB
+        # has the higher net rate; a winner 1.9 tol below the highest is wrong.
+        code, out, _ = run_capture(
+            capsys,
+            ["optimize", "--family", "sixstate", "--max-len", "8", "--tol", "0.03"],
+        )
+        report = json.loads(out)
+        assert code == 0
+        assert (report["best_sequence"], report["threshold"]) == ("BBB", 0.248020833)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -403,6 +428,19 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert code == 2
         assert "synthetic" in captured.err
+
+    def test_internal_error_exits_2(self, capsys, monkeypatch):
+        import twoway_qkd.cli as cli
+
+        def boom():
+            raise RuntimeError("synthetic")
+
+        monkeypatch.setattr(cli.keyrates, "bounds_table", boom)
+        code = cli.run(["bounds"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "internal error: synthetic\n"
 
     def test_analytic_commands_do_not_load_numpy(self):
         # conftest imports numpy, so the check needs a fresh interpreter.

@@ -17,13 +17,18 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "threshold_sixstate_BBBBB": "threshold --family sixstate --sequence BBBBB",
     "threshold_bb84_BBBBBPPPPPP": "threshold --family bb84 --sequence BBBBBPPPPPP",
+    "threshold_sixstate_BBBBB_table":
+        "threshold --family sixstate --sequence BBBBB --format table",
     "evolve_sixstate_alt200": "evolve --family sixstate --p 0.29 --sequence alt:200",
     "evolve_bb84_BBBBBPPPPPP_csv":
         "evolve --family bb84 --p 0.15 --a 0 --sequence BBBBBPPPPPP --format csv",
     "evolve_bb84_alt200_csv": "evolve --family bb84 --p 0.2 --a 0 --sequence alt:200 --format csv",
     "keyrate_two_way": "keyrate --scheme two_way --family sixstate --p 0.1 --sequence BBBBB",
+    "keyrate_two_way_diverged":
+        "keyrate --scheme two_way --family sixstate --p 0.3 --sequence BBBBB",
     "keyrate_inamori_sixstate_threshold": "keyrate --scheme inamori_sixstate --find-threshold",
     "optimize_sixstate_8": "optimize --family sixstate --max-len 8",
+    "optimize_bb84_4_csv": "optimize --family bb84 --max-len 4 --format csv",
     "simulate_bb84_BBPP": "simulate --family bb84 --p 0.15 --sequence BBPP --n 20000 --seed 3",
     "attack_sixstate": "attack --protocol sixstate --n 20000 --seed 5",
     "attack_bb84": "attack --protocol bb84 --n 20000 --seed 7",
