@@ -169,16 +169,11 @@ def _cmd_keyrate(args) -> None:
         channel = _channel(args)
         traj = convergence.evolve(seq, channel)
         if traj.converged:
-            report = keyrates.two_way_net_rate(traj).to_dict()
+            report = keyrates.two_way_net_rate(traj)
         else:
-            report = {
-                "scheme": "two_way_epp",
-                "p": channel.pz,
-                "rate": None,
-                "components": {},
-                "note": f"diverged: {traj.diagnostic or 'CSS stage not viable'}",
-            }
-        payload = {"command": "keyrate", "sequence": str(seq), **report}
+            note = f"diverged: {traj.diagnostic or 'CSS stage not viable'}"
+            report = keyrates.KeyRateReport("two_way_epp", channel.pz, None, note=note)
+        payload = {"command": "keyrate", "sequence": str(seq), **report.to_dict()}
         _emit(args, payload)
         return
     two_way_only = {"--a": args.a or None, "--family": args.family,

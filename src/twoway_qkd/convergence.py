@@ -85,10 +85,9 @@ class StepSequence:
     """Ordered protocol descriptor: distillation rounds plus CSS stage.
 
     ``fixed`` policy applies ``steps`` in order and tests CSS viability at
-    the end; ``alternating_until_css`` ignores ``steps``, alternates B and P
-    rounds (B first) and tests viability before the first round and after
-    every round, stopping at the first success or after ``max_rounds``
-    rounds.
+    the end.  ``alternating_until_css`` sets ``steps`` to the ``max_rounds``
+    rounds B, P, B, P, ... and tests viability before round 1 and after
+    every round, stopping at the earliest success or after the last round.
     """
 
     steps: tuple[StepKind, ...] = ()
@@ -99,13 +98,17 @@ class StepSequence:
     def __post_init__(self) -> None:
         if self.policy not in (FIXED, ALTERNATING):
             raise ValueError(f"unknown policy {self.policy!r}")
-        object.__setattr__(self, "steps", tuple(StepKind(s) for s in self.steps))
-        if self.policy == FIXED and not self.steps:
-            raise ValueError("fixed policy requires a non-empty step list")
         if not 0 <= self.max_rounds <= MAX_ROUNDS:
             raise ValueError(
                 f"max_rounds must be in [0, {MAX_ROUNDS}], got {self.max_rounds}"
             )
+        if self.policy == ALTERNATING:
+            steps = tuple(islice(cycle((StepKind.B, StepKind.P)), self.max_rounds))
+        else:
+            steps = tuple(StepKind(s) for s in self.steps)
+            if not steps:
+                raise ValueError("fixed policy requires a non-empty step list")
+        object.__setattr__(self, "steps", steps)
         if not (isfinite(self.css_margin) and self.css_margin >= 0.0):
             raise ValueError(f"css_margin must be finite and >= 0, got {self.css_margin}")
 
@@ -189,18 +192,13 @@ class Trajectory:
     converged: bool
     diagnostic: str | None = None
 
-    def _kinds(self):
-        if self.sequence.policy == ALTERNATING:
-            return cycle((StepKind.B, StepKind.P))
-        return self.sequence.steps
-
     @cached_property
     def records(self) -> tuple[TrajectoryRecord, ...]:
         """One record per round, built from ``rounds`` on first read."""
         records = []
         cum_yield = 1.0
         rounds = self.rounds
-        for index, (kind, step) in enumerate(zip(self._kinds(), rounds), 1):
+        for index, (kind, step) in enumerate(zip(self.sequence.steps, rounds), 1):
             qx, qy, qz, ps = step
             cum_yield *= ps / _BLOCK_SIZES[kind]
             if index > 2 and step is rounds[index - 3]:  # a copy shares its channel
@@ -229,7 +227,7 @@ class Trajectory:
     @property
     def cumulative_yield(self) -> float:
         cum_yield = 1.0
-        for kind, (_, _, _, ps) in zip(self._kinds(), self.rounds):
+        for kind, (_, _, _, ps) in zip(self.sequence.steps, self.rounds):
             cum_yield *= ps / _BLOCK_SIZES[kind]
         return cum_yield
 
@@ -286,12 +284,9 @@ def _evolve_rounds(
     if alternating:
         if _css_viable(qx, qy, qz, margin):
             return True
-        kinds = islice(cycle((StepKind.B, StepKind.P)), seq.max_rounds)
         before_last = last = None  # states after rounds i - 2 and i - 1
-    else:
-        kinds = seq.steps
     maps = _RATE_FUNCS
-    for kind in kinds:
+    for kind in seq.steps:
         step = maps[kind](qx, qy, qz)
         qx, qy, qz, _ = step
         if rounds is not None:
@@ -451,14 +446,10 @@ def worst_case_scan(seq: StepSequence, p: float, grid_size: int) -> WorstCaseSca
         raise ValueError(f"worst-case scan requires 0 <= p < 1/4, got p={p}")
     if grid_size < 2:
         raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    if seq.policy == ALTERNATING:
-        if seq.max_rounds < 1:
-            raise ValueError("alternating sequence must run at least one round")
-    else:
-        if any(k.epp_only for k in seq.steps):
-            raise ProtocolClassError("worst-case scan covers B/P sequences only")
-        if seq.steps[0] is not StepKind.B:
-            raise ValueError("worst-case scan requires a sequence starting with B")
+    if any(k.epp_only for k in seq.steps):
+        raise ProtocolClassError("worst-case scan covers B/P sequences only")
+    if seq.steps[:1] != (StepKind.B,):
+        raise ValueError("worst-case scan requires a sequence starting with B")
     a_values = tuple(p * i / (grid_size - 1) for i in range(grid_size))
     flags = tuple(_converges(seq, bb84_family(p, a)) for a in a_values)
     at_zero = flags[0]
@@ -480,32 +471,23 @@ def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -
     return two_way_net_rate(t).rate if t.converged else 0.0
 
 
-def _next_level(shorter: array, first: int = 0) -> array:
-    """States one round on from ``shorter``: B from triple ``first`` on, then P from all."""
+def _next_level(shorter: array) -> array:
+    """States one round on from ``shorter``: B applied to every triple, then P to every triple."""
     out = array("d")
-    for kind, start in ((StepKind.B, first), (StepKind.P, 0)):
+    for kind in (StepKind.B, StepKind.P):
         step = _RATE_FUNCS[kind]  # looked up per call: maps substituted by tests or a tracer apply
-        rates = iter(shorter[3 * start :])
+        rates = iter(shorter)
         for qx, qy, qz in zip(rates, rates, rates):
             out.extend(step(qx, qy, qz)[:3])
     return out
 
 
-def _probe_states(root: PauliChannelParams, length: int, first: int = 0) -> array:
-    """Channel after each length-``length`` B/P string from bits ``first`` on.
-
-    Bit ``i`` set = P at round ``i + 1``, so the strings ending in B (bits
-    below ``half = 2**(length - 1)``) are the B map applied to the level one
-    round shorter, and those ending in P follow as the P map applied to it.
-    The (qx, qy, qz) of ``bits``, the floats :func:`_converges` reaches, sit
-    at flat index ``3 * (bits - first)``.  When ``first`` >= half, only the
-    P half is built, from the matching tail of the shorter level.  A full
-    level costs 2**(length + 1) - 2 map evaluations.
-    """
-    if not length:
-        return array("d", (root.qx, root.qy, root.qz))[3 * first :]
-    shorter = _probe_states(root, length - 1, max(first - (1 << (length - 1)), 0))
-    return _next_level(shorter, first)
+def _probe_states(root: PauliChannelParams, length: int) -> array:
+    """Flat (qx, qy, qz) of every length-``length`` B/P string, ``bits`` at index ``3 * bits``."""
+    level = array("d", (root.qx, root.qy, root.qz))
+    for _ in range(length):
+        level = _next_level(level)
+    return level
 
 
 def _screen(level: array, margin: float) -> list[bool]:
@@ -531,10 +513,11 @@ def optimize_sequence(
     threshold (they already diverge 2*tol below the best so far) are pruned,
     and candidates whose convergence cannot be certified monotone in double
     precision (long runs of one step kind park an error rate within one ulp
-    of 1/2) are skipped.  The prune probes come from a breadth-first level
-    sweep: each length's level grows from the one before, a rise of the
-    best threshold rebuilds the rest of the current length, and the result
-    is that of probing every candidate from scratch.
+    of 1/2) are skipped.  The prune reads whole breadth-first levels of
+    probe states, each grown by one round from the one before; after a rise
+    of the best threshold, the rest of that length is probed string by
+    string and the next length's level is built afresh.  The result is that
+    of probing every candidate from scratch.
     """
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
@@ -542,20 +525,20 @@ def optimize_sequence(
     found = []  # (seq, res) of every bisected candidate, in candidate order
     best_threshold = None  # highest threshold so far: the prune's reference
     probe_root = None  # channel at best_threshold - 2*tol, once that is above 0
-    level, first = None, 0  # probe states of this length's strings from bits `first` on
-    viable = None  # the screen of `level`: which of those strings converge at the probe
+    level = viable = None  # whole level of this length's probe states at probe_root, and its screen
     for length in range(1, max_len + 1):
-        if probe_root is not None:  # grow a full level by one round, rebuild a partial one
-            level = _next_level(level) if first == 0 else _probe_states(probe_root, length)
-            first = 0
+        if probe_root is not None:
+            level = _probe_states(probe_root, length) if level is None else _next_level(level)
             viable = _screen(level, css_margin)
         for bits in range(1 << length):
-            if viable is not None and not viable[bits - first]:
+            if viable is not None and not viable[bits]:
                 continue
             seq = StepSequence.fixed(
                 tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
                 css_margin=css_margin,
             )
+            if viable is None and probe_root is not None and not _converges(seq, probe_root):
+                continue  # the probe rose within this length: check the rest one by one
             try:
                 res = find_threshold(seq, family, tol)
             except NumericalError:
@@ -565,9 +548,7 @@ def optimize_sequence(
                 best_threshold = res.threshold_p
                 probe = max(best_threshold - 2.0 * tol, 0.0)
                 probe_root = channel_for_family(family, probe) if probe > 0.0 else None
-                first = bits + 1
-                level = None if probe_root is None else _probe_states(probe_root, length, first)
-                viable = None if level is None else _screen(level, css_margin)
+                level = viable = None
     assert found
     near = [(seq, res) for seq, res in found if res.threshold_p >= best_threshold - tol]
     rates = [_net_rate_near_threshold(seq, family, res.threshold_p) for seq, res in near]

@@ -60,12 +60,13 @@ class KeyRateReport:
     """Net key rate of a post-processing scheme at bit error rate ``p``.
 
     ``components`` holds the named sub-terms the rate is assembled from;
-    the reported rate is reproducible from them to 1e-12.
+    the reported rate is reproducible from them to 1e-12.  A diverged
+    two-way run reports ``rate`` None and no components.
     """
 
     scheme: str
     p: float
-    rate: float
+    rate: float | None
     components: dict[str, float] = field(default_factory=dict)
     note: str = ""
 

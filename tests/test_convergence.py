@@ -99,6 +99,8 @@ class TestSequenceParsing:
         assert seq.policy == "alternating_until_css"
         assert seq.max_rounds == 200
         assert str(seq) == "alt:200"
+        assert seq.steps == tuple(StepKind(k) for k in "BP" * 100)  # it holds its rounds
+        assert parse_sequence("alt:0").steps == ()
 
     def test_malformed_token_names_offender(self):
         with pytest.raises(ValueError, match="'Q'"):
@@ -345,6 +347,8 @@ class TestWorstCaseScan:
     def test_sequence_must_start_with_b(self):
         with pytest.raises(ValueError, match="starting with B"):
             worst_case_scan(StepSequence.fixed("PB"), 0.1, 5)
+        with pytest.raises(ValueError, match="starting with B"):
+            worst_case_scan(StepSequence.alternating(0), 0.1, 5)
 
     def test_epp_only_steps_rejected(self):
         with pytest.raises(ProtocolClassError):

@@ -1,6 +1,7 @@
 """Monte Carlo layer: flag ensembles, bit-level protocol runs, attacks."""
 
 import hashlib
+import logging
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from twoway_qkd import (
     estimate_rates,
     flag_round,
     intercept_resend,
+    parse_sequence,
     sample_flags,
     simulate_protocol2_bits,
     sixstate_channel,
@@ -177,6 +179,13 @@ class TestFlagSteps:
         with pytest.raises(ValueError, match="at least 2"):
             flag_round(one, StepKind.B)
 
+    def test_b_round_without_survivors_warns(self, caplog):
+        e = FlagEnsemble(np.array([0, 1], np.uint8), np.zeros(2, np.uint8), seed=0)
+        with caplog.at_level(logging.WARNING, logger="twoway_qkd.montecarlo"):
+            out = flag_round(e, StepKind.B)
+        assert len(out) == 0
+        assert caplog.messages == ["B round left no survivors (n=2)"]
+
 
 class TestProtocol2Bits:
     def test_noiseless_run(self):
@@ -203,6 +212,12 @@ class TestProtocol2Bits:
         assert [(r.n_kept, r.disagreements) for r in a.rounds] == [
             (r.n_kept, r.disagreements) for r in b.rounds
         ]
+
+    def test_exhausted_population_warns(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="twoway_qkd.montecarlo"):
+            rep = simulate_protocol2_bits(bb84_family(0.1, 0.0), parse_sequence("BB"), 1, 0)
+        assert rep.rounds == ()
+        assert caplog.messages == ["population exhausted before round 1"]
 
     def test_bx_rejected(self):
         with pytest.raises(ProtocolClassError):

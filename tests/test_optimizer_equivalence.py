@@ -1,8 +1,9 @@
 """The level-sweep optimizer against a per-candidate reference search.
 
-``optimize_sequence`` reads its prune verdicts from breadth-first levels of
-probe states (``_probe_states``), grown by one round per length and rebuilt
-for the rest of a length when the best threshold rises.
+``optimize_sequence`` reads its prune verdicts from whole breadth-first
+levels of probe states (``_probe_states``), grown by one round per length;
+after a rise of the best threshold it probes the rest of that length string
+by string and builds the next length's level afresh.
 ``reference_optimize`` probes every candidate from scratch and picks its
 winner by the documented rule, written out on its own.
 """
@@ -10,7 +11,7 @@ winner by the documented rule, written out on its own.
 import pytest
 from conftest import CountingMaps
 
-from twoway_qkd import StepKind, StepSequence, find_threshold, optimize_sequence
+from twoway_qkd import StepKind, StepSequence, convergence, find_threshold, optimize_sequence
 from twoway_qkd.convergence import (
     DEFAULT_CSS_MARGIN,
     _converges,
@@ -95,12 +96,33 @@ def test_identical_to_reference_at_coarse_tol(family, tol, max_len):
     )
 
 
-def test_identical_to_reference_past_a_mid_length_rise():
-    # The probe rises twice late in length 13 (bits 8008 and 8072), so the
-    # rest of that length and all of length 14 use rebuilt levels.
-    assert summary(optimize_sequence("bb84_worst", 14)) == summary(
-        reference_optimize("bb84_worst", 14)
-    )
+@pytest.mark.parametrize("family", ["bb84_worst", "sixstate"])
+def test_identical_to_reference_past_a_mid_length_rise(family):
+    # bb84_worst: the probe rises twice late in length 13 (bits 8008 and
+    # 8072), so the rest of that length is probed string by string and
+    # length 14 starts from a fresh level.  sixstate: the probe rises late in
+    # length 14, at BBPBBBBBBPPPPP.
+    assert summary(optimize_sequence(family, 14)) == summary(reference_optimize(family, 14))
+
+
+@pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
+def test_bisects_the_candidates_the_reference_does(monkeypatch, family):
+    # The probe rises at bits 0 of lengths 1-6 (sixstate) and 1-5
+    # (bb84_worst), so the rest of each of those lengths is pruned string by
+    # string rather than from a level.
+    bisected = {"optimizer": [], "reference": []}
+
+    def recorder(name, bisect=find_threshold):
+        def recording(seq, fam, tol):
+            bisected[name].append(str(seq))
+            return bisect(seq, fam, tol)
+        return recording
+
+    monkeypatch.setattr(convergence, "find_threshold", recorder("optimizer"))
+    monkeypatch.setitem(globals(), "find_threshold", recorder("reference"))
+    optimize_sequence(family, 8)
+    reference_optimize(family, 8)
+    assert bisected["optimizer"] == bisected["reference"]
 
 
 def final_state(root, length, bits):
@@ -114,21 +136,13 @@ class TestProbeStates:
     def test_states_match_the_kernel(self, family, p):
         root = channel_for_family(family, p)
         for length in range(1, 7):
-            expected = [final_state(root, length, bits) for bits in range(1 << length)]
-            for first in range((1 << length) + 1):  # 2**length: past the last string
-                states = _probe_states(root, length, first)
-                assert len(states) == 3 * ((1 << length) - first)
-                for bits in range(first, 1 << length):
-                    at = 3 * (bits - first)
-                    assert tuple(states[at : at + 3]) == expected[bits]
+            states = _probe_states(root, length)
+            assert len(states) == 3 << length
+            for bits in range(1 << length):
+                assert tuple(states[3 * bits : 3 * bits + 3]) == final_state(root, length, bits)
 
     @pytest.mark.parametrize("length", range(1, 7))
     def test_one_map_evaluation_per_tree_node(self, monkeypatch, length):
         maps = CountingMaps(monkeypatch)
         _probe_states(channel_for_family("sixstate", 0.2), length)
         assert maps.calls == (2 << length) - 2
-
-    def test_p_half_is_built_from_the_shorter_tail(self, monkeypatch):
-        maps = CountingMaps(monkeypatch)
-        _probe_states(channel_for_family("sixstate", 0.2), 6, (1 << 6) - 1)
-        assert maps.calls == 6  # PPPPPP alone: one map per round
