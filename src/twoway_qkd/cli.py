@@ -127,9 +127,6 @@ def _cmd_evolve(args) -> None:
     seq = _sequence(args)
     channel = _channel(args)
     traj = convergence.evolve(seq, channel)
-    net_rate = None
-    if traj.converged:
-        net_rate = keyrates.two_way_net_rate(traj).rate
     rows = traj.to_rows()
     payload = {
         "command": "evolve",
@@ -142,7 +139,7 @@ def _cmd_evolve(args) -> None:
             "css_rate": traj.css_rate,
             "converged": traj.converged,
             "cumulative_yield": traj.cumulative_yield,
-            "net_rate": net_rate,
+            "net_rate": keyrates.two_way_net_rate(traj).rate,
             "diagnostic": traj.diagnostic,
         },
     }
@@ -166,13 +163,7 @@ def _cmd_keyrate(args) -> None:
         if args.margin is None:
             args.margin = convergence.DEFAULT_CSS_MARGIN
         seq = _sequence(args)
-        channel = _channel(args)
-        traj = convergence.evolve(seq, channel)
-        if traj.converged:
-            report = keyrates.two_way_net_rate(traj)
-        else:
-            note = f"diverged: {traj.diagnostic or 'CSS stage not viable'}"
-            report = keyrates.KeyRateReport("two_way_epp", channel.pz, None, note=note)
+        report = keyrates.two_way_net_rate(convergence.evolve(seq, _channel(args)))
         payload = {"command": "keyrate", "sequence": str(seq), **report.to_dict()}
         _emit(args, payload)
         return

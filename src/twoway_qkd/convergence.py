@@ -13,8 +13,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import cycle, islice
-from math import isfinite
+from itertools import accumulate, cycle, islice
+from math import isfinite, prod
+from operator import mul
 
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
@@ -137,18 +138,11 @@ def _tokenize(text: str) -> list[StepKind]:
     kinds: list[StepKind] = []
     i = 0
     while i < len(text):
-        ch = text[i]
-        if ch == "B":
-            if i + 1 < len(text) and text[i + 1] == "x":
-                kinds.append(StepKind.BX)
-                i += 2
-                continue
-            kinds.append(StepKind.B)
-        elif ch == "P":
-            kinds.append(StepKind.P)
-        else:
-            raise ValueError(f"invalid step token {ch!r} at position {i}")
-        i += 1
+        token = "Bx" if text.startswith("Bx", i) else text[i]
+        if token not in ("B", "P", "Bx"):
+            raise ValueError(f"invalid step token {token!r} at position {i}")
+        kinds.append(StepKind(token))
+        i += len(token)
     if not kinds:
         raise ValueError("empty step string")
     return kinds
@@ -162,7 +156,7 @@ def parse_sequence(text: str, css_margin: float = DEFAULT_CSS_MARGIN) -> StepSeq
         except ValueError:
             raise ValueError(f"invalid alternation spec {text!r}; expected alt:N")
         return StepSequence.alternating(max_rounds=rounds, css_margin=css_margin)
-    return StepSequence.fixed(_tokenize(text), css_margin=css_margin)
+    return StepSequence.fixed(text, css_margin=css_margin)
 
 
 @dataclass(frozen=True)
@@ -182,8 +176,11 @@ class Trajectory:
     sequence that ran.  A diverged alternating run that stopped at a
     repeated state holds all ``max_rounds`` rounds; those past the repeat
     are copies of the last two computed ones.  :attr:`records` are built
-    from these raw per-round rates on first read, so a trajectory whose
-    records nobody reads costs about what its verdict does.
+    from these raw per-round rates on first read, one channel per record,
+    so a trajectory whose records nobody reads costs about what its verdict
+    does.  A round keeps ``ps / block size`` of its pairs; the records'
+    running yields and :attr:`cumulative_yield` multiply those fractions
+    in round order.
     """
 
     initial: PauliChannelParams
@@ -192,21 +189,20 @@ class Trajectory:
     converged: bool
     diagnostic: str | None = None
 
+    @property
+    def _kept_fractions(self) -> list[float]:
+        """Fraction of its pairs each round keeps: survival probability over block size."""
+        steps = zip(self.sequence.steps, self.rounds)
+        return [ps / _BLOCK_SIZES[kind] for kind, (_, _, _, ps) in steps]
+
     @cached_property
     def records(self) -> tuple[TrajectoryRecord, ...]:
         """One record per round, built from ``rounds`` on first read."""
-        records = []
-        cum_yield = 1.0
-        rounds = self.rounds
-        for index, (kind, step) in enumerate(zip(self.sequence.steps, rounds), 1):
-            qx, qy, qz, ps = step
-            cum_yield *= ps / _BLOCK_SIZES[kind]
-            if index > 2 and step is rounds[index - 3]:  # a copy shares its channel
-                params = records[-2].params
-            else:
-                params = PauliChannelParams(qx, qy, qz)
-            records.append(TrajectoryRecord(index, kind, params, ps, cum_yield))
-        return tuple(records)
+        rounds = zip(self.sequence.steps, self.rounds, accumulate(self._kept_fractions, mul))
+        return tuple(
+            TrajectoryRecord(index, kind, PauliChannelParams(qx, qy, qz), ps, cum_yield)
+            for index, (kind, (qx, qy, qz, ps), cum_yield) in enumerate(rounds, 1)
+        )
 
     @property
     def _final_rates(self) -> tuple[float, float, float]:
@@ -226,10 +222,7 @@ class Trajectory:
 
     @property
     def cumulative_yield(self) -> float:
-        cum_yield = 1.0
-        for kind, (_, _, _, ps) in zip(self.sequence.steps, self.rounds):
-            cum_yield *= ps / _BLOCK_SIZES[kind]
-        return cum_yield
+        return prod(self._kept_fractions, start=1.0)
 
     @property
     def final_bit_rate(self) -> float:
@@ -368,17 +361,6 @@ class ThresholdResult:
         }
 
 
-def _is_monotone(flags: list[bool]) -> bool:
-    """True when flags are a (possibly empty) True-prefix then False-suffix."""
-    seen_false = False
-    for f in flags:
-        if f and seen_false:
-            return False
-        if not f:
-            seen_false = True
-    return True
-
-
 def find_threshold(seq: StepSequence, family: str, tol: float = 1e-4) -> ThresholdResult:
     """Bisect for the largest bit error rate at which ``seq`` converges.
 
@@ -387,8 +369,6 @@ def find_threshold(seq: StepSequence, family: str, tol: float = 1e-4) -> Thresho
     :class:`NumericalError`.  If the sequence fails even at p = tol, a
     zero-threshold result with a diagnostic is returned.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if not 1e-6 <= tol < BRACKET_UPPER:
         raise ValueError(f"tol must lie in [1e-6, {BRACKET_UPPER}), got {tol}")
 
@@ -396,7 +376,7 @@ def find_threshold(seq: StepSequence, family: str, tol: float = 1e-4) -> Thresho
         return _converges(seq, channel_for_family(family, p))
 
     spot_flags = [conv(BRACKET_UPPER * i / 9.0) for i in range(1, 9)]
-    if not _is_monotone(spot_flags):
+    if spot_flags != sorted(spot_flags, reverse=True):  # not all True before all False
         raise NumericalError(
             "convergence is not monotone in p over the search bracket; "
             f"spot check gave {spot_flags}"
@@ -467,8 +447,7 @@ def worst_case_scan(seq: StepSequence, p: float, grid_size: int) -> WorstCaseSca
 def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -> float:
     """Tie-breaking figure: net key rate 0.01 below the threshold."""
     p = max(threshold - 0.01, 0.0)
-    t = evolve(seq, channel_for_family(family, p))
-    return two_way_net_rate(t).rate if t.converged else 0.0
+    return two_way_net_rate(evolve(seq, channel_for_family(family, p))).rate or 0.0
 
 
 def _next_level(shorter: array) -> array:

@@ -188,11 +188,13 @@ def two_way_net_rate(t: "Trajectory") -> KeyRateReport:
     """Net key per sifted bit entering the first distillation round.
 
     Multiplies the trajectory's cumulative yield by the final CSS key
-    fraction.  Only meaningful for converged trajectories; the sacrifice of
-    test bits is a finite-size effect and is excluded.
+    fraction; the sacrifice of test bits is a finite-size effect and is
+    excluded.  A diverged trajectory yields no key and is reported, not
+    refused: rate None, no components, and a note naming why.
     """
     if not t.converged:
-        raise ValueError("trajectory did not converge; no key is produced")
+        note = f"diverged: {t.diagnostic or 'CSS stage not viable'}"
+        return KeyRateReport("two_way_epp", t.initial.pz, None, note=note)
     cum_yield, css = t.cumulative_yield, t.css_rate  # each computed on read
     return KeyRateReport(
         scheme="two_way_epp",

@@ -166,6 +166,20 @@ class TestKeyrateCommand:
         assert report["scheme"] == "two_way_epp"
         assert report["rate"] > 0.0
 
+    def test_two_way_diverged_alternation(self, capsys):
+        code, out, _ = run_capture(
+            capsys,
+            [
+                "keyrate", "--scheme", "two_way", "--family", "sixstate",
+                "--p", "0.3", "--sequence", "alt:200",
+            ],
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["sequence"] == "alt:200"
+        assert (report["rate"], report["components"]) == (None, {})
+        assert report["note"] == "diverged: no CSS viability within 200 rounds"
+
     def test_two_way_requires_sequence(self, capsys):
         code, _, err = run_capture(capsys, ["keyrate", "--scheme", "two_way", "--p", "0.1"])
         assert code == 1
@@ -428,6 +442,16 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert code == 2
         assert "synthetic" in captured.err
+
+    def test_non_monotone_threshold_exits_2(self, capsys, monkeypatch):
+        from twoway_qkd import convergence
+
+        # the first spot point (p = 1/27) diverges and every other p converges
+        monkeypatch.setattr(convergence, "_converges", lambda seq, c: c.pz > 0.04)
+        code, out, err = run_capture(capsys, ["threshold", "--family", "bb84", "--sequence", "B"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numeric failure: convergence is not monotone in p")
 
     def test_internal_error_exits_2(self, capsys, monkeypatch):
         import twoway_qkd.cli as cli

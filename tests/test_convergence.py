@@ -1,6 +1,7 @@
 """Sequence evolution, CSS viability, threshold search, and scans."""
 
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from twoway_qkd import (
     StepKind,
     StepSequence,
     bb84_family,
+    convergence,
     css_key_fraction,
     evolve,
     find_threshold,
@@ -24,9 +26,17 @@ from twoway_qkd.convergence import (
     MAX_ROUNDS,
     _converges,
     _css_viable,
-    _is_monotone,
     channel_for_family,
 )
+from twoway_qkd.keyrates import NumericalError
+
+#: The 8 points at which find_threshold spot-checks monotonicity.
+SPOT_POINTS = [BRACKET_UPPER * i / 9.0 for i in range(1, 9)]
+
+
+def fake_verdicts(monkeypatch, converges_at):
+    """Answer every ``_converges`` call with ``converges_at(p)``, p the channel's bit error rate."""
+    monkeypatch.setattr(convergence, "_converges", lambda seq, c: converges_at(c.pz))
 
 
 class TestCssKeyFraction:
@@ -291,12 +301,35 @@ class TestFindThreshold:
         assert r.threshold_p == 0.0
         assert r.diagnostic is not None
 
-    def test_monotone_prefix_helper(self):
-        assert _is_monotone([True, True, False, False])
-        assert _is_monotone([False, False])
-        assert _is_monotone([True, True])
-        assert not _is_monotone([True, False, True])
-        assert not _is_monotone([False, True])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [True, False, True, False, False, False, False, False],
+            [False, True, True, True, True, True, True, True],
+            [True, True, True, True, True, True, False, True],
+        ],
+    )
+    @pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
+    def test_non_monotone_spot_check_raises(self, monkeypatch, family, flags):
+        # only the spot points have a verdict: nothing runs before the check raises
+        fake_verdicts(monkeypatch, lambda p: flags[SPOT_POINTS.index(p)])
+        with pytest.raises(NumericalError, match=re.escape(f"spot check gave {flags}")):
+            find_threshold(StepSequence.fixed("B"), family, tol=1e-4)
+
+    @pytest.mark.parametrize(
+        "root, threshold, diagnostic",
+        [
+            (1.0, BRACKET_UPPER, "converges at the bracket upper limit"),  # all True
+            (0.0, 0.0, "no convergence even at p = 0.0001"),  # all False
+            (0.2, pytest.approx(0.2, abs=1e-4), None),  # True, then False
+        ],
+        ids=["all-true", "all-false", "true-then-false"],
+    )
+    def test_monotone_spot_check_passes(self, monkeypatch, root, threshold, diagnostic):
+        fake_verdicts(monkeypatch, lambda p: p < root)
+        r = find_threshold(StepSequence.fixed("B"), "sixstate", tol=1e-4)
+        assert r.threshold_p == threshold
+        assert r.diagnostic == diagnostic
 
 
 class TestOptimizeSequence:

@@ -242,10 +242,10 @@ class TestLazyRecords:
         assert len(records) == 200
         assert builds.built["TrajectoryRecord"] == 200
 
-    def test_copied_rounds_share_their_channel(self, builds, monkeypatch):
+    def test_padded_records_repeat_their_channel(self, builds, monkeypatch):
         maps = CountingMaps(monkeypatch)
         t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
         records = t.records
         assert maps.calls == 21
-        assert builds.built == {"PauliChannelParams": 21, "TrajectoryRecord": 200}
-        assert all(records[k].params is records[k - 2].params for k in range(21, 200))
+        assert builds.built == {"PauliChannelParams": 200, "TrajectoryRecord": 200}
+        assert all(records[k].params == records[k - 2].params for k in range(21, 200))

@@ -191,11 +191,22 @@ class TestTwoWayNetRate:
         r = two_way_net_rate(t)
         assert 0.0 < r.rate < 0.03125
 
-    def test_diverged_trajectory_is_an_error(self):
-        t = evolve(StepSequence.fixed("BBBBB"), sixstate_channel(0.30))
+    @pytest.mark.parametrize(
+        "seq, note",
+        [
+            (StepSequence.fixed("BBBBB"), "diverged: CSS stage not viable"),
+            (StepSequence.alternating(200), "diverged: no CSS viability within 200 rounds"),
+        ],
+        ids=["BBBBB", "alt:200"],
+    )
+    def test_diverged_trajectory_is_reported(self, seq, note):
+        t = evolve(seq, sixstate_channel(0.30))
         assert not t.converged
-        with pytest.raises(ValueError, match="converge"):
-            two_way_net_rate(t)
+        r = two_way_net_rate(t)
+        assert r.rate is None
+        assert r.components == {}
+        assert r.p == t.initial.pz == 0.30
+        assert r.note == note
 
 
 class TestBoundsTable:

@@ -125,6 +125,32 @@ def test_bisects_the_candidates_the_reference_does(monkeypatch, family):
     assert bisected["optimizer"] == bisected["reference"]
 
 
+@pytest.mark.parametrize("family, max_len", [("sixstate", 7), ("bb84_worst", 6)])
+def test_a_candidate_whose_bisection_fails_is_skipped(monkeypatch, family, max_len):
+    # The failing candidate is the unpatched winner, so if its bisection set
+    # the prune's reference, fewer later candidates would be bisected.
+    bisected = {"unpatched": [], "optimizer": [], "reference": []}
+
+    def recorder(name, bisect=find_threshold):
+        def recording(seq, fam, tol):
+            bisected[name].append(str(seq))
+            if name != "unpatched" and str(seq) == winner:
+                raise NumericalError("synthetic")
+            return bisect(seq, fam, tol)
+        return recording
+
+    monkeypatch.setattr(convergence, "find_threshold", recorder("unpatched"))
+    winner = str(optimize_sequence(family, max_len)[0])
+    monkeypatch.setattr(convergence, "find_threshold", recorder("optimizer"))
+    monkeypatch.setitem(globals(), "find_threshold", recorder("reference"))
+    found = optimize_sequence(family, max_len)
+    assert summary(found) == summary(reference_optimize(family, max_len))
+    assert str(found[0]) != winner
+    assert winner in bisected["optimizer"]
+    assert bisected["optimizer"] == bisected["reference"]
+    assert set(bisected["unpatched"]) < set(bisected["optimizer"])
+
+
 def final_state(root, length, bits):
     rounds = []
     _evolve_rounds(as_sequence(length, bits), root, rounds)
