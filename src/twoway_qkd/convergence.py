@@ -11,9 +11,10 @@ given starting error rate is what the threshold searches bisect on.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, cycle, islice
+from itertools import accumulate, chain, cycle, islice, repeat
 from math import isfinite, prod
 from operator import mul
 
@@ -64,19 +65,23 @@ def css_key_fraction(f1: float, f2: float) -> float:
 def _css_viable(qx: float, qy: float, qz: float, margin: float) -> bool:
     """``css_key_fraction(qx + qy, qy + qz) > margin``, most states decided without a log.
 
-    Topsoe's h(x) >= 4x(1 - x) bounds the key fraction in bias form:
-    1 - h(f1) - h(f2) <= lz**2 + lx**2 - 1, with lz = 1 - 2 f1 and
-    lx = 1 - 2 f2.  Both sides are computed to about 1e-15, far inside a
-    1e-9 gap, so a bound below ``margin - 1e-9`` rejects only states whose
-    fraction fails the margin too.  Every other state, NaN included, goes
-    to :func:`css_key_fraction`; for rates in [0, 1], the only ones the
-    kernel makes, the verdict is that of the fraction itself.
+    With near and far picked as :func:`css_key_fraction` picks them and
+    u = 1/2 - near, Topsoe's h(x) >= 4x(1 - x) bounds the key fraction by
+    4u**2 - 4 far (1 - far).  Both terms keep their relative precision, so
+    a bound short of ``margin`` by a relative 1e-9 rejects only states
+    whose fraction fails the margin too.  Every other state, NaN included,
+    goes to :func:`css_key_fraction`; for rates in [0, 1], the only ones
+    the kernel makes, the verdict is that of the fraction itself.
     """
     f1 = qx + qy
     f2 = qy + qz
-    lz = 1.0 - 2.0 * f1
-    lx = 1.0 - 2.0 * f2
-    if lz * lz + lx * lx - 1.0 < margin - 1e-9:
+    u1 = 0.5 - f1
+    u2 = 0.5 - f2
+    if abs(u1) <= abs(u2):
+        u, far = u1, f2
+    else:
+        u, far = u2, f1
+    if 4.0 * u * u < (4.0 * far * (1.0 - far) + margin) * (1.0 - 1e-9):
         return False
     return css_key_fraction(f1, f2) > margin
 
@@ -190,10 +195,10 @@ class Trajectory:
     diagnostic: str | None = None
 
     @property
-    def _kept_fractions(self) -> list[float]:
+    def _kept_fractions(self) -> Iterator[float]:
         """Fraction of its pairs each round keeps: survival probability over block size."""
         steps = zip(self.sequence.steps, self.rounds)
-        return [ps / _BLOCK_SIZES[kind] for kind, (_, _, _, ps) in steps]
+        return (ps / _BLOCK_SIZES[kind] for kind, (_, _, _, ps) in steps)
 
     @cached_property
     def records(self) -> tuple[TrajectoryRecord, ...]:
@@ -451,28 +456,28 @@ def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -
 
 
 def _next_level(shorter: array) -> array:
-    """States one round on from ``shorter``: B applied to every triple, then P to every triple."""
+    """States one round on from ``shorter``: B applied to every state, then P to every state."""
     out = array("d")
+    states = memoryview(shorter)  # strided views: no column copies
+    rates = states[0::4], states[1::4], states[2::4]
     for kind in (StepKind.B, StepKind.P):
         step = _RATE_FUNCS[kind]  # looked up per call: maps substituted by tests or a tracer apply
-        rates = iter(shorter)
-        for qx, qy, qz in zip(rates, rates, rates):
-            out.extend(step(qx, qy, qz)[:3])
+        out.extend(chain.from_iterable(map(step, *rates)))
     return out
 
 
 def _probe_states(root: PauliChannelParams, length: int) -> array:
-    """Flat (qx, qy, qz) of every length-``length`` B/P string, ``bits`` at index ``3 * bits``."""
-    level = array("d", (root.qx, root.qy, root.qz))
+    """Flat (qx, qy, qz, ps) of every length-``length`` B/P string, ``bits`` at index ``4 * bits``."""
+    level = array("d", (root.qx, root.qy, root.qz, 1.0))  # no round yet: ps = 1
     for _ in range(length):
         level = _next_level(level)
     return level
 
 
 def _screen(level: array, margin: float) -> list[bool]:
-    """CSS verdict of each (qx, qy, qz) state of ``level``, in one pass."""
-    rates = iter(level)
-    return [_css_viable(qx, qy, qz, margin) for qx, qy, qz in zip(rates, rates, rates)]
+    """CSS verdict of each (qx, qy, qz, ps) state of ``level``, in one pass."""
+    states = memoryview(level)
+    return list(map(_css_viable, states[0::4], states[1::4], states[2::4], repeat(margin)))
 
 
 def optimize_sequence(
@@ -493,7 +498,8 @@ def optimize_sequence(
     and candidates whose convergence cannot be certified monotone in double
     precision (long runs of one step kind park an error rate within one ulp
     of 1/2) are skipped.  The prune reads whole breadth-first levels of
-    probe states, each grown by one round from the one before; after a rise
+    probe states, each one flat array of the maps' (qx, qy, qz, ps) grown
+    by one round from the one before and screened in one pass; after a rise
     of the best threshold, the rest of that length is probed string by
     string and the next length's level is built afresh.  The result is that
     of probing every candidate from scratch.

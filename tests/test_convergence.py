@@ -1,5 +1,6 @@
 """Sequence evolution, CSS viability, threshold search, and scans."""
 
+import math
 import random
 import re
 
@@ -67,17 +68,29 @@ class TestCssViable:
         pairs = [(rng.random(), rng.random()) for _ in range(4000)]
         dyadic = [0.0, 0.5, 1.0] + [2.0**-k for k in range(1, 60)]
         dyadic += [0.5 + sign * 2.0**-k for k in range(2, 54) for sign in (1.0, -1.0)]
-        return pairs + [(f1, f2) for f1 in dyadic for f2 in dyadic]
+        pairs += [(f1, f2) for f1 in dyadic for f2 in dyadic]
+        # near 1/2 exactly or one ulp off it; far at 0, the least subnormal,
+        # 2**-60 or just below 1, in both argument orders
+        nears = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
+        fars = [0.0, 5e-324, 2.0**-60] + [1.0 - 2.0**-k for k in range(2, 54)]
+        edge = [(near, far) for near in nears for far in fars]
+        return pairs + edge + [(far, near) for near, far in edge]
 
     @pytest.mark.parametrize("margin", MARGINS)
-    def test_matches_the_key_fraction(self, margin):
-        rejected = 0
-        for f1, f2 in self.rate_pairs():
+    def test_matches_the_key_fraction(self, monkeypatch, margin):
+        passed_on = 0
+
+        def counted(f1, f2):
+            nonlocal passed_on
+            passed_on += 1
+            return css_key_fraction(f1, f2)
+
+        monkeypatch.setattr(convergence, "css_key_fraction", counted)
+        pairs = self.rate_pairs()
+        for f1, f2 in pairs:
             # qy = 0 makes qx + qy and qy + qz exactly f1 and f2
             assert _css_viable(f1, 0.0, f2, margin) == (css_key_fraction(f1, f2) > margin), (f1, f2)
-            lz, lx = 1.0 - 2.0 * f1, 1.0 - 2.0 * f2
-            rejected += lz * lz + lx * lx - 1.0 < margin - 1e-9
-        assert rejected > 1000  # the bound decides a good share without a log
+        assert len(pairs) - passed_on > 1000  # the bound decides a good share without a log
 
     @pytest.mark.parametrize("margin", MARGINS)
     @pytest.mark.parametrize(

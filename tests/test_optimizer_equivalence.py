@@ -17,8 +17,11 @@ from twoway_qkd.convergence import (
     _converges,
     _evolve_rounds,
     _net_rate_near_threshold,
+    _next_level,
     _probe_states,
+    _screen,
     channel_for_family,
+    css_key_fraction,
 )
 from twoway_qkd.keyrates import NumericalError
 
@@ -154,7 +157,7 @@ def test_a_candidate_whose_bisection_fails_is_skipped(monkeypatch, family, max_l
 def final_state(root, length, bits):
     rounds = []
     _evolve_rounds(as_sequence(length, bits), root, rounds)
-    return rounds[-1][:3]
+    return rounds[-1]
 
 
 class TestProbeStates:
@@ -163,12 +166,60 @@ class TestProbeStates:
         root = channel_for_family(family, p)
         for length in range(1, 7):
             states = _probe_states(root, length)
-            assert len(states) == 3 << length
+            assert len(states) == 4 << length
             for bits in range(1 << length):
-                assert tuple(states[3 * bits : 3 * bits + 3]) == final_state(root, length, bits)
+                assert tuple(states[4 * bits : 4 * bits + 4]) == final_state(root, length, bits)
 
     @pytest.mark.parametrize("length", range(1, 7))
     def test_one_map_evaluation_per_tree_node(self, monkeypatch, length):
         maps = CountingMaps(monkeypatch)
         _probe_states(channel_for_family("sixstate", 0.2), length)
         assert maps.calls == (2 << length) - 2
+
+
+class TestScreen:
+    """The screen's verdicts are the key fraction's own, where the search screens.
+
+    ``reference_optimize`` prunes through ``_css_viable`` as well, so the
+    equivalence tests above cannot catch a wrong rejection bound.
+    """
+
+    @pytest.fixture(scope="class")
+    def final_probe_roots(self):
+        """Probe root at the end of each family's max_len=13 search, and its CSS evaluations."""
+        roots, css_calls = {}, 0
+        with pytest.MonkeyPatch.context() as patch:
+            def counted(f1, f2):
+                nonlocal css_calls
+                css_calls += 1
+                return css_key_fraction(f1, f2)
+
+            patch.setattr(convergence, "css_key_fraction", counted)
+            for family in ("sixstate", "bb84_worst"):
+                thresholds = []
+
+                def recording(seq, fam, tol, bisect=find_threshold):
+                    res = bisect(seq, fam, tol)
+                    thresholds.append(res.threshold_p)
+                    return res
+
+                patch.setattr(convergence, "find_threshold", recording)
+                optimize_sequence(family, 13)
+                roots[family] = channel_for_family(family, max(thresholds) - 2 * 1e-4)
+        return roots, css_calls
+
+    def test_the_searches_rarely_need_a_log(self, final_probe_roots):
+        _, css_calls = final_probe_roots
+        assert css_calls < 1000
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-30, 0.1])
+    @pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
+    def test_verdicts_equal_the_key_fraction(self, final_probe_roots, family, margin):
+        level = _probe_states(final_probe_roots[0][family], 0)
+        for length in range(1, 14):
+            level = _next_level(level)
+            expected = [
+                css_key_fraction(qx + qy, qy + qz) > margin
+                for qx, qy, qz in zip(level[0::4], level[1::4], level[2::4])
+            ]
+            assert _screen(level, margin) == expected, length
