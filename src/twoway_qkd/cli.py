@@ -26,6 +26,12 @@ FLOAT_DIGITS = 9
 
 _MAX_N = 10**7  # a Monte Carlo run's memory grows linearly in --n: ~125 MB here
 
+# CSV columns of the per-round reports, one row per round
+EVOLVE_COLUMNS = ("step_index", "kind", "qx", "qy", "qz", "ps", "yield")
+SIMULATE_COLUMNS = (
+    "round", "kind", "n_in", "n_kept", "disagreements", "rate_hat", "rate_pred", "stderr",
+)
+
 
 class UsageError(ValueError):
     """Bad command line; maps to exit status 1, as every ValueError does."""
@@ -57,17 +63,18 @@ def _flatten(prefix: str, obj, out: list[tuple[str, object]]) -> None:
         out.append((prefix, obj))
 
 
-def _emit(args, payload: dict, rows: list[dict] | None = None, table: str | None = None) -> None:
+def _emit(
+    args, payload: dict, columns: tuple[str, ...] = (), rows=(), table: str | None = None
+) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     if args.format == "json":
         text = json.dumps(_round_floats(payload), indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
-        if rows:
-            rows = [_round_floats(r) for r in rows]
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        if columns:  # a per-round report: its header even when no round ran
+            writer = csv.DictWriter(buf, fieldnames=columns)
             writer.writeheader()
-            writer.writerows(rows)
+            writer.writerows(_round_floats(r) for r in rows)
         else:
             flat: list[tuple[str, object]] = []
             _flatten("", _round_floats(payload), flat)
@@ -143,7 +150,7 @@ def _cmd_evolve(args) -> None:
             "diagnostic": traj.diagnostic,
         },
     }
-    _emit(args, payload, rows=rows)
+    _emit(args, payload, EVOLVE_COLUMNS, rows)
 
 
 _RATE_FNS = {
@@ -208,7 +215,7 @@ def _cmd_simulate(args) -> None:
     channel = _channel(args)
     report = montecarlo.simulate_protocol2_bits(channel, seq, _n(args), _seed(args))
     payload = {"command": "simulate", **report.to_dict()}
-    _emit(args, payload, rows=[r.to_dict() for r in report.rounds])
+    _emit(args, payload, SIMULATE_COLUMNS, [r.to_dict() for r in report.rounds])
 
 
 def _cmd_attack(args) -> None:
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "evolve",
         help="run a step sequence on a channel",
-        epilog="CSV columns: step_index, kind, qx, qy, qz, ps, yield "
+        epilog=f"CSV columns: {', '.join(EVOLVE_COLUMNS)} "
         "(post-step channel rates, survival probability, cumulative yield)",
     )
     _add_common(p, seq=True, chan=True)
@@ -300,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "simulate",
         help="bit-level protocol simulation",
-        epilog="CSV columns: round, kind, n_in, n_kept, disagreements, "
-        "rate_hat, rate_pred, stderr",
+        epilog=f"CSV columns: {', '.join(SIMULATE_COLUMNS)}",
     )
     _add_common(p, seq=True, chan=True, mc=True)
     p.set_defaults(func=_cmd_simulate)

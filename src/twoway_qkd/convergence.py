@@ -13,7 +13,6 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import isfinite, prod
 from operator import mul
@@ -42,7 +41,7 @@ DEFAULT_CSS_MARGIN = 1e-30
 
 DEFAULT_MAX_ROUNDS = 200
 
-#: Largest ``max_rounds`` a sequence accepts: an evolution keeps one record
+#: Largest ``max_rounds`` a sequence accepts: an evolution keeps one tuple
 #: per round, so this bounds its memory.
 MAX_ROUNDS = 10_000
 
@@ -165,27 +164,18 @@ def parse_sequence(text: str, css_margin: float = DEFAULT_CSS_MARGIN) -> StepSeq
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    step_index: int
-    kind: StepKind
-    params: PauliChannelParams
-    survival_prob: float
-    cumulative_yield: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """A sequence evolution: the raw rates of every round and its CSS verdict.
 
     ``rounds`` holds one ``(qx, qy, qz, ps)`` tuple per round of the
     sequence that ran.  A diverged alternating run that stopped at a
     repeated state holds all ``max_rounds`` rounds; those past the repeat
-    are copies of the last two computed ones.  :attr:`records` are built
-    from these raw per-round rates on first read, one channel per record,
-    so a trajectory whose records nobody reads costs about what its verdict
-    does.  A round keeps ``ps / block size`` of its pairs; the records'
-    running yields and :attr:`cumulative_yield` multiply those fractions
-    in round order.
+    are copies of the last two computed ones.  These tuples are the
+    trajectory's only per-round data: the final rates, the CSS rate and
+    the rows of :meth:`to_rows` are all read from them, and no channel is
+    built per round.  A round keeps ``ps / block size`` of its pairs; the
+    rows' running yields and :attr:`cumulative_yield` multiply those
+    fractions in round order.
     """
 
     initial: PauliChannelParams
@@ -200,30 +190,13 @@ class Trajectory:
         steps = zip(self.sequence.steps, self.rounds)
         return (ps / _BLOCK_SIZES[kind] for kind, (_, _, _, ps) in steps)
 
-    @cached_property
-    def records(self) -> tuple[TrajectoryRecord, ...]:
-        """One record per round, built from ``rounds`` on first read."""
-        rounds = zip(self.sequence.steps, self.rounds, accumulate(self._kept_fractions, mul))
-        return tuple(
-            TrajectoryRecord(index, kind, PauliChannelParams(qx, qy, qz), ps, cum_yield)
-            for index, (kind, (qx, qy, qz, ps), cum_yield) in enumerate(rounds, 1)
-        )
-
     @property
     def _final_rates(self) -> tuple[float, float, float]:
-        """Raw (qx, qy, qz) after the trajectory's last round.
-
-        The maps clamp their outputs at 0, so these are the rates of
-        :attr:`final_params` without building it.
-        """
+        """Raw (qx, qy, qz) after the trajectory's last round."""
         if not self.rounds:
             c = self.initial
             return c.qx, c.qy, c.qz
         return self.rounds[-1][:3]
-
-    @cached_property
-    def final_params(self) -> PauliChannelParams:
-        return PauliChannelParams(*self._final_rates) if self.rounds else self.initial
 
     @property
     def cumulative_yield(self) -> float:
@@ -246,17 +219,18 @@ class Trajectory:
 
     def to_rows(self) -> list[dict]:
         """Rows for CSV-style serialization, one per applied step."""
+        rounds = zip(self.sequence.steps, self.rounds, accumulate(self._kept_fractions, mul))
         return [
             {
-                "step_index": r.step_index,
-                "kind": r.kind.value,
-                "qx": r.params.qx,
-                "qy": r.params.qy,
-                "qz": r.params.qz,
-                "ps": r.survival_prob,
-                "yield": r.cumulative_yield,
+                "step_index": index,
+                "kind": kind.value,
+                "qx": qx,
+                "qy": qy,
+                "qz": qz,
+                "ps": ps,
+                "yield": cum_yield,
             }
-            for r in self.records
+            for index, (kind, (qx, qy, qz, ps), cum_yield) in enumerate(rounds, 1)
         ]
 
 
@@ -310,8 +284,7 @@ def evolve(
     (Bx) is rejected before any round runs.  An alternating run that never
     reaches CSS viability is non-converged with the diagnostic ``no CSS
     viability within N rounds`` and holds all N rounds; those past a
-    repeated state are copies (see :class:`Trajectory`).  Its records are
-    built from the raw per-round rates on first read.
+    repeated state are copies (see :class:`Trajectory`).
     """
     if prepare_and_measure and any(k.epp_only for k in seq.steps):
         raise ProtocolClassError(  # Bx is the one EPP-only kind
@@ -333,7 +306,7 @@ def evolve(
 
 
 def _converges(seq: StepSequence, c: PauliChannelParams) -> bool:
-    """``evolve(seq, c).converged`` without the records, for search loops."""
+    """``evolve(seq, c).converged`` without keeping the rounds, for search loops."""
     return _evolve_rounds(seq, c)
 
 

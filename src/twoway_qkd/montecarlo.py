@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .channel import PauliChannelParams
-from .convergence import StepSequence, Trajectory, evolve
+from .convergence import StepSequence, evolve
 from .steps import StepKind
 
 if TYPE_CHECKING:
@@ -176,7 +176,6 @@ class Protocol2Report:
     n: int
     seed: int
     rounds: tuple[RoundReport, ...]
-    trajectory: Trajectory = field(repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -215,23 +214,23 @@ def simulate_protocol2_bits(
     err = (rng.random(n) < channel.pz).astype(np.uint8)
 
     rounds: list[RoundReport] = []
-    for rec in traj.records:
+    for index, (kind, (qx, qy, _, _)) in enumerate(zip(seq.steps, traj.rounds), 1):
         size = err.size
-        if size < rec.kind.block_size:
-            logger.warning("population exhausted before round %d", rec.step_index)
+        if size < kind.block_size:
+            logger.warning("population exhausted before round %d", index)
             break
-        e = [err[c] for c in _random_blocks(seed, rec.step_index, size, rec.kind.block_size)]
-        if rec.kind is StepKind.B:
+        e = [err[c] for c in _random_blocks(seed, index, size, kind.block_size)]
+        if kind is StepKind.B:
             err = np.compress(e[0] == e[1], e[0])
         else:  # P
             err = e[0] ^ e[1] ^ e[2]
         n_kept = int(err.size)
         disagreements = int(np.count_nonzero(err))
-        pred = rec.params.pz
+        pred = qx + qy
         rounds.append(
             RoundReport(
-                index=rec.step_index,
-                kind=rec.kind,
+                index=index,
+                kind=kind,
                 n_in=size,
                 n_kept=n_kept,
                 disagreements=disagreements,
@@ -242,7 +241,7 @@ def simulate_protocol2_bits(
         )
         if n_kept == 0:
             break
-    return Protocol2Report(channel, seq, n, seed, tuple(rounds), traj)
+    return Protocol2Report(channel, seq, n, seed, tuple(rounds))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Shared sampling, counting and single-round helpers for the test suite."""
 
+from collections import namedtuple
+
 import numpy as np
 
-from twoway_qkd import PauliChannelParams, StepKind, StepSequence, convergence, evolve, steps
+from twoway_qkd import PauliChannelParams, StepKind, StepSequence, evolve, steps
 
 
 def random_channels(n: int, seed: int, scale: float = 1.0) -> list[PauliChannelParams]:
@@ -32,23 +34,28 @@ class CountingMaps:
 
 
 class CountingBuilds:
-    """Wraps classes that ``convergence`` builds to count the instances made.
+    """Wraps ``cls.__init__`` to count the instances built anywhere, in ``built``."""
 
-    ``built`` maps each wrapped class name to its count.
+    def __init__(self, monkeypatch, cls):
+        self.built = 0
+        init = cls.__init__
+
+        def counted(obj, *args, **kwargs):
+            self.built += 1
+            init(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+
+Round = namedtuple("Round", "params survival_prob cumulative_yield")
+
+
+def one_round(kind: StepKind, c: PauliChannelParams) -> Round:
+    """A single ``kind`` round applied to ``c`` by the package.
+
+    ``params`` is built from the round's raw rates, so it also checks that
+    they lie on the simplex.
     """
-
-    def __init__(self, monkeypatch, *names):
-        self.built = dict.fromkeys(names, 0)
-        for name in names:
-            monkeypatch.setattr(convergence, name, self._wrap(name, getattr(convergence, name)))
-
-    def _wrap(self, name, cls):
-        def counted(*args, **kwargs):
-            self.built[name] += 1
-            return cls(*args, **kwargs)
-        return counted
-
-
-def one_round(kind: StepKind, c: PauliChannelParams):
-    """The package's record of a single ``kind`` round applied to ``c``."""
-    return evolve(StepSequence.fixed([kind]), c).records[0]
+    t = evolve(StepSequence.fixed([kind]), c)
+    ((qx, qy, qz, ps),) = t.rounds
+    return Round(PauliChannelParams(qx, qy, qz), ps, t.cumulative_yield)

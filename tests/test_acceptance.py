@@ -163,8 +163,8 @@ def test_criterion_10_delta_claim_suite():
             start = DeltaCoords(p, p, delta0).to_channel()
             for _ in range(10):
                 kinds = "B" + "".join("B" if rng.random() < 0.5 else "P" for _ in range(49))
-                for r in evolve(StepSequence.fixed(kinds), start).records:
-                    d = to_delta(r.params)
+                for qx, qy, qz, _ in evolve(StepSequence.fixed(kinds), start).rounds:
+                    d = to_delta(PauliChannelParams(qx, qy, qz))
                     assert d.delta >= ROUNDOFF_FLOOR
                     assert 1.0 - 2.0 * d.pz - 2.0 * d.delta > ROUNDOFF_FLOOR
     _report(

@@ -94,6 +94,14 @@ class TestEvolveCommand:
         assert all(row["qx"] == "0.0" and row["qy"] == "0.0" and row["qz"] == "0.0" for row in rows)
         assert float(rows[-1]["yield"]) == pytest.approx(1 / 6, rel=1e-8)
 
+    def test_csv_without_rounds_prints_the_header(self, capsys):
+        # six-state p = 0.05 is CSS-viable before round 1
+        code, out, _ = run_capture(
+            capsys, "evolve --family sixstate --p 0.05 --sequence alt:200 --format csv".split()
+        )
+        assert code == 0
+        assert out == "step_index,kind,qx,qy,qz,ps,yield\r\n"
+
     def test_json_report_includes_final_block(self, capsys):
         code, out, _ = run_capture(
             capsys,
@@ -331,6 +339,14 @@ class TestSimulateCommand:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 2
         assert rows[0]["kind"] == "B"
+
+    def test_csv_without_rounds_prints_the_header(self, capsys):
+        # one pair is too few for a B round, so no round runs
+        code, out, _ = run_capture(
+            capsys, "simulate --family sixstate --p 0.05 --sequence BB --n 1 --format csv".split()
+        )
+        assert code == 0
+        assert out == "round,kind,n_in,n_kept,disagreements,rate_hat,rate_pred,stderr\r\n"
 
 
 class TestChannelArguments:

@@ -156,12 +156,7 @@ class TestSequenceParsing:
     def test_alternation_kind_schedule(self):
         # six-state p = 0.3 lies above the alternation's threshold
         t = evolve(StepSequence.alternating(4), sixstate_channel(0.3))
-        assert [r.kind for r in t.records] == [
-            StepKind.B,
-            StepKind.P,
-            StepKind.B,
-            StepKind.P,
-        ]
+        assert [r["kind"] for r in t.to_rows()] == ["B", "P", "B", "P"]
 
 
 class TestEvolve:
@@ -181,35 +176,36 @@ class TestEvolve:
 
     def test_full_record_bookkeeping(self):
         t = evolve(StepSequence.fixed("BP"), bb84_family(0.1, 0.0))
-        assert [r.step_index for r in t.records] == [1, 2]
-        assert [r.kind for r in t.records] == [StepKind.B, StepKind.P]
+        rows = t.to_rows()
+        assert [r["step_index"] for r in rows] == [1, 2]
+        assert [r["kind"] for r in rows] == ["B", "P"]
         # yields: ps/2 for B then 1/3 for P
-        b_yield = t.records[0].survival_prob / 2
-        assert t.records[0].cumulative_yield == pytest.approx(b_yield, abs=1e-15)
-        assert t.records[1].cumulative_yield == pytest.approx(b_yield / 3, abs=1e-15)
+        b_yield = rows[0]["ps"] / 2
+        assert rows[0]["yield"] == pytest.approx(b_yield, abs=1e-15)
+        assert rows[1]["yield"] == pytest.approx(b_yield / 3, abs=1e-15)
 
     def test_cumulative_yield_strictly_decreasing(self):
         t = evolve(StepSequence.fixed("BBBPP"), sixstate_channel(0.1))
-        yields = [r.cumulative_yield for r in t.records]
+        yields = [r["yield"] for r in t.to_rows()]
         assert all(b < a for a, b in zip(yields, yields[1:]))
         assert yields[-1] <= (0.5**3) * (1 / 3) ** 2 + 1e-15
 
     def test_yield_product_recomputation(self):
         t = evolve(StepSequence.fixed("BBPBP"), sixstate_channel(0.15))
         product = 1.0
-        for r in t.records:
-            product *= r.survival_prob / 2 if r.kind is not StepKind.P else 1 / 3
+        for r in t.to_rows():
+            product *= r["ps"] / 2 if r["kind"] != "P" else 1 / 3
         assert t.cumulative_yield == pytest.approx(product, abs=1e-15)
 
     def test_alternating_stops_at_first_viability(self):
         t = evolve(StepSequence.alternating(200), sixstate_channel(0.20))
         assert t.converged
-        assert len(t.records) < 200
-        if t.records:
+        assert len(t.rounds) < 200
+        if t.rounds:
             before_last = (
                 PauliChannelParams(0.1, 0.1, 0.1)
-                if not t.records[:-1]
-                else t.records[-2].params
+                if not t.rounds[:-1]
+                else PauliChannelParams(*t.rounds[-2][:3])
             )
             assert css_key_fraction(before_last.pz, before_last.px) <= t.sequence.css_margin
 
@@ -218,13 +214,13 @@ class TestEvolve:
             c = sixstate_channel(p)
             t = evolve(StepSequence.alternating(0), c)
             assert t.converged == (css_key_fraction(c.pz, c.px) > t.sequence.css_margin)
-            assert t.records == ()
+            assert t.rounds == ()
             assert t.cumulative_yield == 1.0
 
     def test_viable_input_needs_no_rounds(self):
         t = evolve(StepSequence.alternating(200), sixstate_channel(0.05))
         assert t.converged
-        assert t.records == ()
+        assert t.rounds == ()
 
     def test_bx_rejected_in_prepare_and_measure(self):
         seq = StepSequence.fixed("BBxB")
@@ -247,7 +243,8 @@ class TestEvolve:
         assert len(t.rounds) == 200
         # rounds past the computed ones are copies of the last two
         assert all(t.rounds[k] is t.rounds[k - 2] for k in range(maps.calls, 200))
-        assert t.final_params == t.records[-1].params
+        qx, qy, qz, _ = t.rounds[-1]
+        assert (t.final_bit_rate, t.final_phase_rate) == (qx + qy, qy + qz)
 
     def test_converged_iff_css_above_margin(self):
         for p in (0.05, 0.2, 0.25, 0.3):

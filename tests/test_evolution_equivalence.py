@@ -13,7 +13,6 @@ from twoway_qkd import (
 from twoway_qkd import convergence
 from twoway_qkd.convergence import (
     ALTERNATING,
-    TrajectoryRecord,
     _converges,
     channel_for_family,
     css_key_fraction,
@@ -29,33 +28,16 @@ def kind_at(seq, index):
     return seq.steps[index - 1]
 
 
-def rows(records):
-    """Reference for ``Trajectory.to_rows``: one CSV row per record."""
-    return [
-        {
-            "step_index": r.step_index,
-            "kind": r.kind.value,
-            "qx": r.params.qx,
-            "qy": r.params.qy,
-            "qz": r.params.qz,
-            "ps": r.survival_prob,
-            "yield": r.cumulative_yield,
-        }
-        for r in records
-    ]
-
-
 def observables(t):
     """Every observable of a trajectory, the derived ones read first."""
     return {
-        "final_params": t.final_params,
         "cumulative_yield": t.cumulative_yield,
         "final_bit_rate": t.final_bit_rate,
         "final_phase_rate": t.final_phase_rate,
         "css_rate": t.css_rate,
         "converged": t.converged,
         "diagnostic": t.diagnostic,
-        "records": t.records,
+        "rounds": t.rounds,
         "to_rows": t.to_rows(),
     }
 
@@ -63,11 +45,14 @@ def observables(t):
 def reference_evolve(seq, c, prepare_and_measure=False):
     """Recording loop that builds a channel after every round.
 
-    Returns the observables of :func:`observables` by name.  The yield
-    factor of a round is ``0.5 * ps`` for B and Bx and ``1/3`` for P.
+    Returns the observables of :func:`observables` by name.  Building each
+    round's channel checks that its rates are finite and on the simplex.
+    The yield factor of a round is ``0.5 * ps`` for B and Bx and ``1/3``
+    for P.
     """
     margin = seq.css_margin
-    records = []
+    rounds = []
+    rows = []
     cur = c
     cum_yield = 1.0
     diagnostic = None
@@ -75,15 +60,14 @@ def reference_evolve(seq, c, prepare_and_measure=False):
     def finish(converged):
         f1, f2 = cur.pz, cur.px
         return {
-            "final_params": cur,
             "cumulative_yield": cum_yield,
             "final_bit_rate": f1,
             "final_phase_rate": f2,
             "css_rate": css_key_fraction(f1, f2),
             "converged": converged,
             "diagnostic": diagnostic,
-            "records": tuple(records),
-            "to_rows": rows(records),
+            "rounds": tuple(rounds),
+            "to_rows": rows,
         }
 
     if seq.policy == ALTERNATING:
@@ -103,7 +87,18 @@ def reference_evolve(seq, c, prepare_and_measure=False):
         qx, qy, qz, ps = _RATE_FUNCS[kind](cur.qx, cur.qy, cur.qz)
         cur = PauliChannelParams(qx, qy, qz)
         cum_yield *= 1.0 / 3.0 if kind is StepKind.P else 0.5 * ps
-        records.append(TrajectoryRecord(index, kind, cur, ps, cum_yield))
+        rounds.append((cur.qx, cur.qy, cur.qz, ps))
+        rows.append(
+            {
+                "step_index": index,
+                "kind": kind.value,
+                "qx": cur.qx,
+                "qy": cur.qy,
+                "qz": cur.qz,
+                "ps": ps,
+                "yield": cum_yield,
+            }
+        )
         if seq.policy == ALTERNATING and css_key_fraction(cur.pz, cur.px) > margin:
             return finish(True)
 
@@ -197,8 +192,8 @@ class TestCycleExit:
         maps = CountingMaps(monkeypatch)
         t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
         assert maps.calls < 40
-        assert len(t.records) == 200
-        assert [r.step_index for r in t.records] == list(range(1, 201))
+        assert len(t.rounds) == 200
+        assert [r["step_index"] for r in t.to_rows()] == list(range(1, 201))
         assert not t.converged
         assert t.diagnostic == "no CSS viability within 200 rounds"
 
@@ -206,10 +201,13 @@ class TestCycleExit:
         # BB84 at p = 0.2 reaches (0, 0, 1/2) at round 23, so the state
         # after round 25 repeats that after round 23.
         t = evolve(parse_sequence("alt:200"), channel_for_family("bb84_worst", 0.2))
-        assert t.final_params == PauliChannelParams(0.0, 0.0, 0.5)
-        for r, prev in zip(t.records[24:], t.records[22:]):
-            assert (r.kind, r.params, r.survival_prob) == (prev.kind, prev.params, prev.survival_prob)
-            assert r.cumulative_yield < prev.cumulative_yield
+        assert t.rounds[-1][:3] == (0.0, 0.0, 0.5)
+        rows = t.to_rows()
+        for r, prev in zip(rows[24:], rows[22:]):
+            assert (r["kind"], r["qx"], r["qy"], r["qz"], r["ps"]) == (
+                prev["kind"], prev["qx"], prev["qy"], prev["qz"], prev["ps"]
+            )
+            assert r["yield"] < prev["yield"]
 
     def test_fixed_strings_run_every_round(self, monkeypatch):
         maps = CountingMaps(monkeypatch)
@@ -217,35 +215,23 @@ class TestCycleExit:
         assert maps.calls == 200
 
 
-class TestLazyRecords:
-    """A trajectory builds its records from the raw rounds on first read."""
+class TestNoChannelPerRound:
+    """Verdicts, trajectories, their rows and net rates build no channel."""
 
-    @pytest.fixture
-    def builds(self, monkeypatch):
-        return CountingBuilds(monkeypatch, "PauliChannelParams", "TrajectoryRecord")
-
-    def test_diverged_alternation_builds_nothing(self, builds):
-        t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
-        assert not t.converged
-        assert builds.built == {"PauliChannelParams": 0, "TrajectoryRecord": 0}
-
-    def test_net_rate_builds_nothing(self, builds):
-        t = evolve(parse_sequence("BBBBB"), channel_for_family("sixstate", 0.2))
-        assert two_way_net_rate(t).rate > 0.0
-        assert builds.built == {"PauliChannelParams": 0, "TrajectoryRecord": 0}
-
-    def test_records_are_built_once(self, builds):
-        t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
-        assert builds.built["TrajectoryRecord"] == 0
-        records = t.records
-        assert t.records is records
-        assert len(records) == 200
-        assert builds.built["TrajectoryRecord"] == 200
-
-    def test_padded_records_repeat_their_channel(self, builds, monkeypatch):
+    def test_diverged_alternation_builds_nothing(self, monkeypatch):
+        seq, c = parse_sequence("alt:200"), channel_for_family("sixstate", 0.28)
         maps = CountingMaps(monkeypatch)
-        t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
-        records = t.records
-        assert maps.calls == 21
-        assert builds.built == {"PauliChannelParams": 200, "TrajectoryRecord": 200}
-        assert all(records[k].params == records[k - 2].params for k in range(21, 200))
+        builds = CountingBuilds(monkeypatch, PauliChannelParams)
+        assert not _converges(seq, c)
+        t = evolve(seq, c)
+        assert len(t.to_rows()) == 200
+        assert two_way_net_rate(t).rate is None
+        assert maps.calls == 2 * 21
+        assert builds.built == 0
+        assert all(t.rounds[k] == t.rounds[k - 2] for k in range(21, 200))
+
+    def test_net_rate_builds_nothing(self, monkeypatch):
+        seq, c = parse_sequence("BBBBB"), channel_for_family("sixstate", 0.2)
+        builds = CountingBuilds(monkeypatch, PauliChannelParams)
+        assert two_way_net_rate(evolve(seq, c)).rate > 0.0
+        assert builds.built == 0

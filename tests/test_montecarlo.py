@@ -15,6 +15,7 @@ from twoway_qkd import (
     StepSequence,
     bb84_family,
     estimate_rates,
+    evolve,
     flag_round,
     intercept_resend,
     parse_sequence,
@@ -226,11 +227,10 @@ class TestProtocol2Bits:
             )
 
     def test_alternating_realizes_analytic_schedule(self):
-        rep = simulate_protocol2_bits(
-            sixstate_channel(0.2), StepSequence.alternating(50), 100_000, seed=0
-        )
-        kinds = [r.kind for r in rep.rounds]
-        assert kinds == [r.kind for r in rep.trajectory.records]
+        seq, channel = StepSequence.alternating(50), sixstate_channel(0.2)
+        rep = simulate_protocol2_bits(channel, seq, 100_000, seed=0)
+        assert [r.kind for r in rep.rounds] == list(seq.steps[: len(rep.rounds)])
+        assert len(rep.rounds) == len(evolve(seq, channel).rounds)
 
     def test_flag_and_bit_level_agree_on_survival(self):
         # both layers must match the analytic B-step keep statistics

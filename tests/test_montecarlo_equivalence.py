@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from twoway_qkd import bb84_family, parse_sequence, sixstate_channel
+from twoway_qkd import PauliChannelParams, bb84_family, parse_sequence, sixstate_channel
 from twoway_qkd.convergence import evolve
 from twoway_qkd.montecarlo import (
     AttackReport,
@@ -36,12 +36,13 @@ def reference_simulate_protocol2_bits(channel, seq, n, seed):
     bob = alice ^ (rng.random(n) < channel.pz).astype(np.uint8)
 
     rounds = []
-    for rec in traj.records:
+    for row in traj.to_rows():
+        kind = StepKind(row["kind"])
         size = alice.size
-        if size < rec.kind.block_size:
+        if size < kind.block_size:
             break
-        cols = _random_blocks(seed, rec.step_index, size, rec.kind.block_size)
-        if rec.kind is StepKind.B:
+        cols = _random_blocks(seed, row["step_index"], size, kind.block_size)
+        if kind is StepKind.B:
             keep = (alice[cols[0]] ^ alice[cols[1]]) == (bob[cols[0]] ^ bob[cols[1]])
             alice = alice[cols[0]][keep]
             bob = bob[cols[0]][keep]
@@ -50,11 +51,11 @@ def reference_simulate_protocol2_bits(channel, seq, n, seed):
             bob = bob[cols[0]] ^ bob[cols[1]] ^ bob[cols[2]]
         n_kept = int(alice.size)
         disagreements = int(np.count_nonzero(alice != bob))
-        pred = rec.params.pz
+        pred = PauliChannelParams(row["qx"], row["qy"], row["qz"]).pz
         rounds.append(
             RoundReport(
-                index=rec.step_index,
-                kind=rec.kind,
+                index=row["step_index"],
+                kind=kind,
                 n_in=size,
                 n_kept=n_kept,
                 disagreements=disagreements,
@@ -65,7 +66,7 @@ def reference_simulate_protocol2_bits(channel, seq, n, seed):
         )
         if n_kept == 0:
             break
-    return Protocol2Report(channel, seq, n, seed, tuple(rounds), traj)
+    return Protocol2Report(channel, seq, n, seed, tuple(rounds))
 
 
 def reference_intercept_resend(protocol, n, seed, eve_matches_basis=False):
@@ -122,6 +123,10 @@ SIMULATIONS = {
     "bb84 BBPP": (bb84_family(0.1, 0.02), "BBPP"),
     "sixstate BBBBB": (sixstate_channel(0.2), "BBBBB"),
     "sixstate PB": (sixstate_channel(0.05), "PB"),
+    # converges after a few of its 50 rounds
+    "sixstate alt:50": (sixstate_channel(0.2), "alt:50"),
+    # diverges: its rounds past the repeated state are copies of the cycle
+    "sixstate alt:40": (sixstate_channel(0.28), "alt:40"),
 }
 
 
@@ -146,6 +151,6 @@ def test_grid_reaches_both_early_exits():
                 rounds = reference_simulate_protocol2_bits(channel, seq, n, seed).rounds
                 if rounds and rounds[-1].n_kept == 0:
                     zero_survivors = True
-                elif len(rounds) < len(seq.steps):
+                elif len(rounds) < len(evolve(seq, channel).rounds):
                     exhausted = True
     assert exhausted and zero_survivors
