@@ -215,8 +215,11 @@ class TestCycleExit:
         assert maps.calls == 200
 
 
-class TestNoChannelPerRound:
-    """Verdicts, trajectories, their rows and net rates build no channel."""
+class TestLazyRecords:
+    """A trajectory keeps raw rounds and builds its rows on read.
+
+    Verdicts, trajectories, their rows and net rates build no channel.
+    """
 
     def test_diverged_alternation_builds_nothing(self, monkeypatch):
         seq, c = parse_sequence("alt:200"), channel_for_family("sixstate", 0.28)
@@ -224,14 +227,27 @@ class TestNoChannelPerRound:
         builds = CountingBuilds(monkeypatch, PauliChannelParams)
         assert not _converges(seq, c)
         t = evolve(seq, c)
+        assert not t.converged
         assert len(t.to_rows()) == 200
         assert two_way_net_rate(t).rate is None
         assert maps.calls == 2 * 21
         assert builds.built == 0
-        assert all(t.rounds[k] == t.rounds[k - 2] for k in range(21, 200))
 
     def test_net_rate_builds_nothing(self, monkeypatch):
         seq, c = parse_sequence("BBBBB"), channel_for_family("sixstate", 0.2)
         builds = CountingBuilds(monkeypatch, PauliChannelParams)
         assert two_way_net_rate(evolve(seq, c)).rate > 0.0
         assert builds.built == 0
+
+    def test_padded_records_repeat_their_channel(self, monkeypatch):
+        maps = CountingMaps(monkeypatch)
+        t = evolve(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
+        rows = t.to_rows()
+        assert maps.calls == 21
+        assert len(t.rounds) == len(rows) == 200
+        assert all(t.rounds[k] == t.rounds[k - 2] for k in range(21, 200))
+        assert all(
+            (rows[k]["qx"], rows[k]["qy"], rows[k]["qz"], rows[k]["ps"])
+            == (rows[k - 2]["qx"], rows[k - 2]["qy"], rows[k - 2]["qz"], rows[k - 2]["ps"])
+            for k in range(21, 200)
+        )
