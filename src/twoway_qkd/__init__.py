@@ -16,13 +16,11 @@ from .convergence import (
     StepSequence,
     ThresholdResult,
     Trajectory,
-    WorstCaseScan,
     css_key_fraction,
     evolve,
     find_threshold,
     optimize_sequence,
     parse_sequence,
-    worst_case_scan,
 )
 from .keyrates import (
     BoundsTable,
@@ -38,13 +36,8 @@ from .keyrates import (
 )
 from .montecarlo import (
     AttackReport,
-    EmpiricalRates,
-    FlagEnsemble,
     Protocol2Report,
-    estimate_rates,
-    flag_round,
     intercept_resend,
-    sample_flags,
     simulate_protocol2_bits,
 )
 from .steps import ProtocolClassError, StepKind
@@ -52,8 +45,6 @@ from .steps import ProtocolClassError, StepKind
 __all__ = [
     "AttackReport",
     "BoundsTable",
-    "EmpiricalRates",
-    "FlagEnsemble",
     "KeyRateReport",
     "NumericalError",
     "PauliChannelParams",
@@ -64,14 +55,11 @@ __all__ = [
     "StepSequence",
     "ThresholdResult",
     "Trajectory",
-    "WorstCaseScan",
     "bb84_family",
     "binary_entropy",
     "bounds_table",
     "css_key_fraction",
-    "estimate_rates",
     "evolve",
-    "flag_round",
     "find_threshold",
     "inamori_bb84_rate",
     "inamori_sixstate_rate",
@@ -79,12 +67,10 @@ __all__ = [
     "optimize_sequence",
     "parse_sequence",
     "rate_threshold",
-    "sample_flags",
     "shor_preskill_rate",
     "simulate_protocol2_bits",
     "sixstate_channel",
     "two_way_net_rate",
-    "worst_case_scan",
 ]
 
 __version__ = "0.1.0"

@@ -379,49 +379,6 @@ def find_threshold(seq: StepSequence, family: str, tol: float = 1e-4) -> Thresho
     return ThresholdResult(0.5 * (lo + hi), (lo, hi), seq, family)
 
 
-@dataclass(frozen=True)
-class WorstCaseScan:
-    """Convergence of one sequence across a BB84-family a-grid at fixed p."""
-
-    sequence: StepSequence
-    p: float
-    a_values: tuple[float, ...]
-    converged: tuple[bool, ...]
-    converged_at_zero: bool
-    implication_holds: bool
-    vacuous: bool
-
-
-def worst_case_scan(seq: StepSequence, p: float, grid_size: int) -> WorstCaseScan:
-    """Check that a = 0 (no Y errors) is the worst BB84-family member.
-
-    Evaluates convergence for a on a uniform grid over [0, p] and reports
-    whether convergence at a = 0 implies convergence everywhere.  Requires
-    p < 1/4 and a sequence that starts with a B round (and contains no
-    EPP-only steps), the hypotheses under which a = 0 is provably worst.
-    """
-    if not 0.0 <= p < 0.25:
-        raise ValueError(f"worst-case scan requires 0 <= p < 1/4, got p={p}")
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    if any(k.epp_only for k in seq.steps):
-        raise ProtocolClassError("worst-case scan covers B/P sequences only")
-    if seq.steps[:1] != (StepKind.B,):
-        raise ValueError("worst-case scan requires a sequence starting with B")
-    a_values = tuple(p * i / (grid_size - 1) for i in range(grid_size))
-    flags = tuple(_converges(seq, bb84_family(p, a)) for a in a_values)
-    at_zero = flags[0]
-    return WorstCaseScan(
-        sequence=seq,
-        p=p,
-        a_values=a_values,
-        converged=flags,
-        converged_at_zero=at_zero,
-        implication_holds=(not at_zero) or all(flags),
-        vacuous=not at_zero,
-    )
-
-
 def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -> float:
     """Tie-breaking figure: net key rate 0.01 below the threshold."""
     p = max(threshold - 0.01, 0.0)

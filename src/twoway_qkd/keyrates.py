@@ -157,30 +157,25 @@ _RATE_UPPER = 0.45
 _RATE_TOL = 1e-6
 
 
-def rate_threshold(rate_fn: Callable[[float], "KeyRateReport | float"]) -> float:
+def rate_threshold(rate_fn: Callable[[float], KeyRateReport]) -> float:
     """Largest tolerable bit error rate of a rate formula (root of rate = 0).
 
     Scans (0, _RATE_UPPER] for a sign change, then bisects to _RATE_TOL.
     Requires a positive rate at p = 0 and a non-positive one in range.
     """
-
-    def value(p: float) -> float:
-        r = rate_fn(p)
-        return r.rate if isinstance(r, KeyRateReport) else float(r)
-
-    if value(0.0) <= 0.0:
+    if rate_fn(0.0).rate <= 0.0:
         raise NumericalError("rate is not positive at p = 0")
     lo = 0.0
     hi = None
     for k in range(1, 65):
         p = _RATE_UPPER * k / 64.0
-        if value(p) <= 0.0:
+        if rate_fn(p).rate <= 0.0:
             hi = p
             break
         lo = p
     if hi is None:
         raise NumericalError(f"rate has no sign change on (0, {_RATE_UPPER}]")
-    lo, hi = _bisect(lambda p: value(p) > 0.0, lo, hi, _RATE_TOL)
+    lo, hi = _bisect(lambda p: rate_fn(p).rate > 0.0, lo, hi, _RATE_TOL)
     return 0.5 * (lo + hi)
 
 

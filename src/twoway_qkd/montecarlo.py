@@ -1,10 +1,7 @@
-"""Stochastic validation of the distillation maps and attack baselines.
+"""Bit-level protocol runs and attack baselines.
 
-Three layers:
+Two layers:
 
-* flag-level simulation: ensembles of per-pair (bit-flip, phase-flip) error
-  flags pushed through B, P or Bx rounds by :func:`flag_round`, whose
-  empirical rates must track the closed-form maps in ``steps``;
 * bit-level simulation of the prepare-and-measure protocol (announced
   parities, trio compression), which can only see bit errors; it carries
   only the Alice-xor-Bob error bits, and draws Alice's bits only to keep
@@ -14,9 +11,8 @@ Three layers:
 
 Randomness uses numpy's PCG64 generator (period 2^128).  Streams are split
 deterministically by seeding with ``[seed, stream_index]``: stream 0 draws
-the initial population, stream k >= 1 draws the random blocks of round k in
-both simulations.  Identical seeds give identical ensembles, pairings, and
-reports.
+the initial population, stream k >= 1 draws the random blocks of round k.
+Identical seeds give identical populations, pairings, and reports.
 
 numpy is imported inside the functions that sample, so it loads on the first
 Monte Carlo call; importing this module, as every analytic command does, does not.
@@ -31,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .channel import PauliChannelParams
 from .convergence import StepSequence, evolve
-from .steps import StepKind
+from .steps import StepKind, _BLOCK_SIZES
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,91 +50,6 @@ def _random_blocks(seed: int, index: int, size: int, block: int) -> list[np.ndar
     perm = _stream(seed, index).permutation(size)
     m = size // block
     return [perm[i : block * m : block] for i in range(block)]
-
-
-@dataclass
-class FlagEnsemble:
-    """Population of per-pair (x, z) error flags with its RNG bookkeeping.
-
-    ``x``/``z`` are uint8 arrays (1 = error present); ``round_index``
-    counts applied rounds and selects the next RNG stream.
-    """
-
-    x: np.ndarray
-    z: np.ndarray
-    seed: int
-    round_index: int = 0
-
-    def __len__(self) -> int:
-        return int(self.x.size)
-
-
-@dataclass(frozen=True)
-class EmpiricalRates:
-    """Frequency estimates of the X/Y/Z flag categories."""
-
-    qx_hat: float
-    qy_hat: float
-    qz_hat: float
-    n: int
-    stderr: tuple[float, float, float]
-
-
-def sample_flags(c: PauliChannelParams, n: int, seed: int) -> FlagEnsemble:
-    """Draw n independent error-flag pairs from the channel distribution."""
-    import numpy as np
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    u = _stream(seed, 0).random(n)
-    # Categories by cumulative rate: [0,qx) X, [qx,qx+qy) Y, then Z, then I.
-    x = u < c.qx + c.qy
-    z = (u >= c.qx) & (u < c.qx + c.qy + c.qz)
-    return FlagEnsemble(x.astype(np.uint8), z.astype(np.uint8), seed)
-
-
-def estimate_rates(e: FlagEnsemble) -> EmpiricalRates:
-    """Empirical X/Y/Z rates with per-component binomial standard errors."""
-    import numpy as np
-    n = len(e)
-    if n == 0:
-        raise ValueError("cannot estimate rates of an empty ensemble")
-    x = e.x.astype(bool)
-    z = e.z.astype(bool)
-    qx = float(np.count_nonzero(x & ~z)) / n
-    qy = float(np.count_nonzero(x & z)) / n
-    qz = float(np.count_nonzero(~x & z)) / n
-    se = tuple(math.sqrt(q * (1.0 - q) / n) for q in (qx, qy, qz))
-    return EmpiricalRates(qx, qy, qz, n, se)
-
-
-def flag_round(e: FlagEnsemble, kind: StepKind) -> FlagEnsemble:
-    """Apply one ``kind`` round to a flag ensemble over random blocks.
-
-    B keeps the first pair of each random pair iff the x flags agree, with
-    flags ``(x1, z1 ^ z2)``; Bx is its phase-basis mirror; P keeps one member
-    of each random trio with flags ``(x1 ^ x2 ^ x3, majority(z1, z2, z3))``.
-    """
-    import numpy as np
-    block = kind.block_size
-    if len(e) < block:
-        raise ValueError(f"need at least {block} flags for a {kind} round, got {len(e)}")
-    cols = _random_blocks(e.seed, e.round_index + 1, len(e), block)
-    x = [e.x[c] for c in cols]
-    z = [e.z[c] for c in cols]
-    if kind is StepKind.B:
-        keep = x[0] == x[1]
-        new_x = x[0][keep]
-        new_z = (z[0] ^ z[1])[keep]
-    elif kind is StepKind.BX:
-        keep = z[0] == z[1]
-        new_x = (x[0] ^ x[1])[keep]
-        new_z = z[0][keep]
-    else:  # P: parity of bit flags, majority of phase flags; nothing discarded
-        new_x = x[0] ^ x[1] ^ x[2]
-        new_z = ((z[0].astype(np.int16) + z[1] + z[2]) >= 2).astype(np.uint8)
-    if new_x.size == 0:
-        logger.warning("%s round left no survivors (n=%d)", kind, len(e))
-    return FlagEnsemble(new_x, new_z, e.seed, e.round_index + 1)
 
 
 @dataclass(frozen=True)
@@ -216,10 +127,11 @@ def simulate_protocol2_bits(
     rounds: list[RoundReport] = []
     for index, (kind, (qx, qy, _, _)) in enumerate(zip(seq.steps, traj.rounds), 1):
         size = err.size
-        if size < kind.block_size:
+        block = _BLOCK_SIZES[kind]
+        if size < block:
             logger.warning("population exhausted before round %d", index)
             break
-        e = [err[c] for c in _random_blocks(seed, index, size, kind.block_size)]
+        e = [err[c] for c in _random_blocks(seed, index, size, block)]
         if kind is StepKind.B:
             err = np.compress(e[0] == e[1], e[0])
         else:  # P

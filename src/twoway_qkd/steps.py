@@ -19,13 +19,12 @@ Three step kinds act on a population of shared pairs carrying independent
 
 Each map takes raw rates (qx, qy, qz) and returns the rates after the
 round with the block survival probability ``ps`` (1 for P); the kept
-fraction of a round is ``ps / kind.block_size``.  Each output rate is
+fraction of a round is ``ps / _BLOCK_SIZES[kind]``.  Each output rate is
 clamped at 0 with a branch, ``v if v > 0.0 else 0.0``: a rate that round-off
 drives below zero (mostly where qi = 1 - qx - qy - qz is tiny) comes out as
 +0.0, and so do -0.0 and NaN.  ``_RATE_FUNCS`` keys the maps by
 :class:`StepKind` and is the one way the package applies a round;
-``_BLOCK_SIZES`` holds the block sizes; per-round loops read it, not the
-property.
+``_BLOCK_SIZES`` holds the block sizes.
 The tests hold the independent oracles: an exhaustive enumeration of Pauli
 configurations, and the recursion in (pz, px, delta) coordinates used by
 the worst-case analysis (``tests/oracles.py``).
@@ -50,10 +49,6 @@ class StepKind(str, enum.Enum):
     def epp_only(self) -> bool:
         """True for steps that cannot run in a prepare-and-measure protocol."""
         return self is StepKind.BX
-
-    @property
-    def block_size(self) -> int:
-        return _BLOCK_SIZES[self]
 
     def __str__(self) -> str:
         return self.value

@@ -1,10 +1,11 @@
-"""Shared sampling, counting and single-round helpers for the test suite."""
+"""Shared sampling, counting, single-round and worst-case helpers for the test suite."""
 
 from collections import namedtuple
 
 import numpy as np
 
-from twoway_qkd import PauliChannelParams, StepKind, StepSequence, evolve, steps
+from twoway_qkd import PauliChannelParams, StepKind, StepSequence, bb84_family, evolve, steps
+from twoway_qkd.convergence import _converges
 
 
 def random_channels(n: int, seed: int, scale: float = 1.0) -> list[PauliChannelParams]:
@@ -59,3 +60,14 @@ def one_round(kind: StepKind, c: PauliChannelParams) -> Round:
     t = evolve(StepSequence.fixed([kind]), c)
     ((qx, qy, qz, ps),) = t.rounds
     return Round(PauliChannelParams(qx, qy, qz), ps, t.cumulative_yield)
+
+
+def worst_case_flags(seq: StepSequence, p: float, grid_size: int) -> list[bool]:
+    """Convergence of ``seq`` on the BB84 family at ``p``, for ``grid_size`` values of a.
+
+    The values of a are spaced evenly over [0, p], a = 0 first.  a = 0 is the
+    worst member, so ``not flags[0] or all(flags)`` holds, under the claim's
+    hypotheses: p < 1/4, and ``seq`` a B/P string that starts with B.
+    """
+    assert p < 0.25 and seq.steps[:1] == (StepKind.B,) and StepKind.BX not in seq.steps
+    return [_converges(seq, bb84_family(p, p * i / (grid_size - 1))) for i in range(grid_size)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twoway_qkd import (
+    KeyRateReport,
     NumericalError,
     PauliChannelParams,
     StepSequence,
@@ -165,13 +166,15 @@ class TestRateThreshold:
         assert rate_threshold(inamori_sixstate_rate) > bb84
 
     def test_accepts_plain_float_functions(self):
-        assert rate_threshold(lambda p: 0.2 - p) == pytest.approx(0.2, abs=1e-5)
+        # any function of p that returns a report, here with a linear rate
+        root = rate_threshold(lambda p: KeyRateReport("linear", p, 0.2 - p))
+        assert root == pytest.approx(0.2, abs=1e-5)
 
     def test_no_sign_change_is_an_error(self):
         with pytest.raises(NumericalError, match="sign change"):
-            rate_threshold(lambda p: 1.0 + p)
+            rate_threshold(lambda p: KeyRateReport("linear", p, 1.0 + p))
         with pytest.raises(NumericalError, match="positive"):
-            rate_threshold(lambda p: -1.0)
+            rate_threshold(lambda p: KeyRateReport("negative", p, -1.0))
 
 
 class TestTwoWayNetRate:

@@ -8,22 +8,19 @@ import numpy as np
 import pytest
 
 from conftest import one_round, random_channels
+from sampled_oracles import FlagEnsemble, estimate_rates, flag_round, sample_flags
 from twoway_qkd import (
     PauliChannelParams,
     ProtocolClassError,
     StepKind,
     StepSequence,
     bb84_family,
-    estimate_rates,
     evolve,
-    flag_round,
     intercept_resend,
     parse_sequence,
-    sample_flags,
     simulate_protocol2_bits,
     sixstate_channel,
 )
-from twoway_qkd.montecarlo import FlagEnsemble
 
 
 def assert_within_5_sigma(q_hat: float, q_true: float, n: int) -> None:
@@ -182,7 +179,7 @@ class TestFlagSteps:
 
     def test_b_round_without_survivors_warns(self, caplog):
         e = FlagEnsemble(np.array([0, 1], np.uint8), np.zeros(2, np.uint8), seed=0)
-        with caplog.at_level(logging.WARNING, logger="twoway_qkd.montecarlo"):
+        with caplog.at_level(logging.WARNING, logger="sampled_oracles"):
             out = flag_round(e, StepKind.B)
         assert len(out) == 0
         assert caplog.messages == ["B round left no survivors (n=2)"]

@@ -24,7 +24,7 @@ from twoway_qkd.montecarlo import (
     intercept_resend,
     simulate_protocol2_bits,
 )
-from twoway_qkd.steps import StepKind
+from twoway_qkd.steps import StepKind, _BLOCK_SIZES
 
 
 def reference_simulate_protocol2_bits(channel, seq, n, seed):
@@ -39,9 +39,9 @@ def reference_simulate_protocol2_bits(channel, seq, n, seed):
     for row in traj.to_rows():
         kind = StepKind(row["kind"])
         size = alice.size
-        if size < kind.block_size:
+        if size < _BLOCK_SIZES[kind]:
             break
-        cols = _random_blocks(seed, row["step_index"], size, kind.block_size)
+        cols = _random_blocks(seed, row["step_index"], size, _BLOCK_SIZES[kind])
         if kind is StepKind.B:
             keep = (alice[cols[0]] ^ alice[cols[1]]) == (bob[cols[0]] ^ bob[cols[1]])
             alice = alice[cols[0]][keep]
