@@ -23,7 +23,6 @@ from .convergence import (
     parse_sequence,
 )
 from .keyrates import (
-    BoundsTable,
     KeyRateReport,
     NumericalError,
     binary_entropy,
@@ -44,7 +43,6 @@ from .steps import ProtocolClassError, StepKind
 
 __all__ = [
     "AttackReport",
-    "BoundsTable",
     "KeyRateReport",
     "NumericalError",
     "PauliChannelParams",

@@ -245,9 +245,22 @@ def _cmd_optimize(args) -> None:
     _emit(args, payload)
 
 
+def _bounds_text(bounds: dict) -> str:
+    blocks = []
+    for key, title in (("bb84", "BB84"), ("sixstate", "Six-state scheme")):
+        one, two = bounds[key]["one_way"], bounds[key]["two_way"]
+        blocks.append(
+            f"{title.center(38)}\n"
+            f"{'':14}{'one-way':>10}{'two-way':>10}\n"
+            f"{'Upper bound':14}{one['upper']:>10.4f}{two['upper']:>10.4f}\n"
+            f"{'Lower bound':14}{one['lower']:>10.4f}{two['lower']:>10.4f}\n"
+        )
+    return "\n".join(blocks)
+
+
 def _cmd_bounds(args) -> None:
-    table = keyrates.bounds_table()
-    _emit(args, {"command": "bounds", **table.to_dict()}, table=table.as_text())
+    bounds = keyrates.bounds_table()
+    _emit(args, {"command": "bounds", **bounds}, table=_bounds_text(bounds))
 
 
 def _add_common(sub, *, seq=False, chan=False, mc=False):
@@ -289,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evolve)
 
     p = subs.add_parser("keyrate", help="net key rate of a post-processing scheme")
+    _add_common(p)
     p.add_argument("--scheme", required=True,
                    choices=[*_RATE_FNS.keys(), "two_way"])
     p.add_argument("--p", type=float, default=None, help="bit error rate")
@@ -300,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="two_way only: CSS viability margin")
     p.add_argument("--find-threshold", action="store_true",
                    help="report the scheme's zero-rate threshold instead")
-    p.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=_cmd_keyrate)
 
     p = subs.add_parser(

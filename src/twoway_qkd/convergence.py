@@ -20,7 +20,7 @@ from operator import mul
 from .channel import PauliChannelParams, bb84_family, sixstate_channel
 from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
 from .keyrates import two_way_net_rate
-from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES, _RATE_FUNCS
+from .steps import StepKind, _BLOCK_SIZES, _RATE_FUNCS
 
 FIXED = "fixed"
 ALTERNATING = "alternating_until_css"
@@ -41,8 +41,8 @@ DEFAULT_CSS_MARGIN = 1e-30
 
 DEFAULT_MAX_ROUNDS = 200
 
-#: Largest ``max_rounds`` a sequence accepts: an evolution keeps one tuple
-#: per round, so this bounds its memory.
+#: Most rounds a sequence holds, as ``max_rounds`` or as a fixed string: an
+#: evolution keeps one tuple per round, so this bounds its memory.
 MAX_ROUNDS = 10_000
 
 
@@ -113,6 +113,10 @@ class StepSequence:
             steps = tuple(StepKind(s) for s in self.steps)
             if not steps:
                 raise ValueError("fixed policy requires a non-empty step list")
+            if len(steps) > MAX_ROUNDS:
+                raise ValueError(
+                    f"a fixed sequence holds at most {MAX_ROUNDS} rounds, got {len(steps)}"
+                )
         object.__setattr__(self, "steps", steps)
         if not (isfinite(self.css_margin) and self.css_margin >= 0.0):
             raise ValueError(f"css_margin must be finite and >= 0, got {self.css_margin}")
@@ -273,24 +277,13 @@ def _evolve_rounds(
     return not alternating and _css_viable(qx, qy, qz, margin)
 
 
-def evolve(
-    seq: StepSequence,
-    c: PauliChannelParams,
-    prepare_and_measure: bool = False,
-) -> Trajectory:
+def evolve(seq: StepSequence, c: PauliChannelParams) -> Trajectory:
     """Apply a step sequence to a channel and test CSS viability.
 
-    With ``prepare_and_measure`` set, a sequence holding an EPP-only step
-    (Bx) is rejected before any round runs.  An alternating run that never
-    reaches CSS viability is non-converged with the diagnostic ``no CSS
-    viability within N rounds`` and holds all N rounds; those past a
-    repeated state are copies (see :class:`Trajectory`).
+    An alternating run that never reaches CSS viability is non-converged
+    with the diagnostic ``no CSS viability within N rounds`` and holds all
+    N rounds; those past a repeated state are copies (see :class:`Trajectory`).
     """
-    if prepare_and_measure and any(k.epp_only for k in seq.steps):
-        raise ProtocolClassError(  # Bx is the one EPP-only kind
-            f"step {StepKind.BX} is EPP-only and cannot appear in a "
-            "prepare-and-measure sequence"
-        )
     rounds: list[tuple[float, float, float, float]] = []
     converged = _evolve_rounds(seq, c, rounds)
     diverged = seq.policy == ALTERNATING and not converged

@@ -206,57 +206,21 @@ def two_way_net_rate(t: "Trajectory") -> KeyRateReport:
     )
 
 
-@dataclass(frozen=True)
-class RateBound:
-    upper: float
-    lower: float
-
-
-@dataclass(frozen=True)
-class ProtocolBounds:
-    one_way: RateBound
-    two_way: RateBound
-
-
-@dataclass(frozen=True)
-class BoundsTable:
+def bounds_table() -> dict:
     """Known bit-error-rate bounds for BB84 and the six-state scheme.
 
     Upper bounds come from explicit attacks (approximate cloning for
     one-way post-processing, intercept-resend for two-way); lower bounds
-    from protocols proved secure.
+    from protocols proved secure.  Keyed scheme, then post-processing,
+    then ``upper``/``lower``; a new dict on each call.
     """
-
-    bb84: ProtocolBounds
-    sixstate: ProtocolBounds
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def as_text(self) -> str:
-        lines = []
-        for title, pb in (("BB84", self.bb84), ("Six-state scheme", self.sixstate)):
-            lines.append(title.center(38))
-            lines.append(f"{'':14}{'one-way':>10}{'two-way':>10}")
-            lines.append(
-                f"{'Upper bound':14}{pb.one_way.upper:>10.4f}{pb.two_way.upper:>10.4f}"
-            )
-            lines.append(
-                f"{'Lower bound':14}{pb.one_way.lower:>10.4f}{pb.two_way.lower:>10.4f}"
-            )
-            lines.append("")
-        return "\n".join(lines).rstrip() + "\n"
-
-
-def bounds_table() -> BoundsTable:
-    """Reference error-rate bounds for one-way and two-way post-processing."""
-    return BoundsTable(
-        bb84=ProtocolBounds(
-            one_way=RateBound(upper=0.146, lower=0.110),
-            two_way=RateBound(upper=0.25, lower=0.189),
-        ),
-        sixstate=ProtocolBounds(
-            one_way=RateBound(upper=1.0 / 6.0, lower=0.127),
-            two_way=RateBound(upper=1.0 / 3.0, lower=0.264),
-        ),
-    )
+    return {
+        "bb84": {
+            "one_way": {"upper": 0.146, "lower": 0.110},
+            "two_way": {"upper": 0.25, "lower": 0.189},
+        },
+        "sixstate": {
+            "one_way": {"upper": 1.0 / 6.0, "lower": 0.127},
+            "two_way": {"upper": 1.0 / 3.0, "lower": 0.264},
+        },
+    }

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .channel import PauliChannelParams
 from .convergence import StepSequence, evolve
-from .steps import StepKind, _BLOCK_SIZES
+from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES
 
 if TYPE_CHECKING:
     import numpy as np
@@ -111,6 +111,7 @@ def simulate_protocol2_bits(
     keep the first bit of each randomly formed pair iff the announced pair
     parities agree; P rounds replace each random trio by its parity.  The
     per-round disagreement rate is reported against the analytic recursion.
+    A sequence holding the EPP-only step Bx is refused before any draw.
 
     Only the Alice-xor-Bob error bits are carried: a pair's parities agree
     iff its two error bits do, and a trio's parity error is the parity of
@@ -119,7 +120,12 @@ def simulate_protocol2_bits(
     import numpy as np
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    traj = evolve(seq, channel, prepare_and_measure=True)
+    if StepKind.BX in seq.steps:
+        raise ProtocolClassError(
+            f"step {StepKind.BX} is EPP-only and cannot appear in a "
+            "prepare-and-measure sequence"
+        )
+    traj = evolve(seq, channel)
     rng = _stream(seed, 0)
     rng.integers(0, 2, n, dtype=np.uint8)  # Alice's bits: keeps the flips' stream position
     err = (rng.random(n) < channel.pz).astype(np.uint8)

@@ -15,7 +15,8 @@ Three step kinds act on a population of shared pairs carrying independent
 * ``Bx`` -- the phase-basis mirror of ``B`` (keep iff ``z1 == z2``, flags
   ``(x1 ^ x2, z1)``).  It post-selects on the phase syndrome, which only an
   entanglement-based protocol can evaluate, so it is never legal inside a
-  prepare-and-measure sequence.
+  prepare-and-measure sequence: the bit-level run refuses it with
+  :class:`ProtocolClassError`.
 
 Each map takes raw rates (qx, qy, qz) and returns the rates after the
 round with the block survival probability ``ps`` (1 for P); the kept
@@ -35,7 +36,7 @@ from __future__ import annotations
 import enum
 
 class ProtocolClassError(ValueError):
-    """An EPP-only step was used where prepare-and-measure rules apply."""
+    """An EPP-only step (Bx) was given to the bit-level prepare-and-measure run."""
 
 
 class StepKind(str, enum.Enum):
@@ -44,11 +45,6 @@ class StepKind(str, enum.Enum):
     B = "B"
     P = "P"
     BX = "Bx"
-
-    @property
-    def epp_only(self) -> bool:
-        """True for steps that cannot run in a prepare-and-measure protocol."""
-        return self is StepKind.BX
 
     def __str__(self) -> str:
         return self.value

@@ -138,6 +138,18 @@ class TestEvolveCommand:
         assert out == ""
         assert "--sequence" in err and "max_rounds" in err
 
+    def test_oversized_fixed_sequence_exits_1(self, capsys):
+        code, out, err = run_capture(
+            capsys,
+            ["evolve", "--family", "sixstate", "--p", "0.3", "--sequence", "B" * 10_001],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: --sequence/--margin: a fixed sequence holds at most 10000 rounds, "
+            "got 10001\n"
+        )
+
     def test_diverged_is_a_valid_finding(self, capsys):
         code, out, _ = run_capture(
             capsys,
@@ -347,6 +359,16 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert out == "round,kind,n_in,n_kept,disagreements,rate_hat,rate_pred,stderr\r\n"
+
+    def test_bx_exits_1(self, capsys):
+        code, out, err = run_capture(
+            capsys, "simulate --family bb84 --p 0.1 --sequence BxB --n 10".split()
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: step Bx is EPP-only and cannot appear in a prepare-and-measure sequence\n"
+        )
 
 
 class TestChannelArguments:

@@ -19,6 +19,7 @@ from twoway_qkd import (
     find_threshold,
     optimize_sequence,
     parse_sequence,
+    simulate_protocol2_bits,
     sixstate_channel,
 )
 from twoway_qkd.convergence import (
@@ -140,6 +141,11 @@ class TestSequenceParsing:
         with pytest.raises(ValueError, match="max_rounds"):
             parse_sequence("alt:-1")
 
+    def test_fixed_length_is_bounded(self):
+        assert len(parse_sequence("BP" * 5_000).steps) == MAX_ROUNDS
+        with pytest.raises(ValueError, match="at most 10000 rounds, got 10001"):
+            parse_sequence("B" * 10_001)
+
     @pytest.mark.parametrize("text", ["BBBBB", "alt:200"])
     @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
     def test_non_finite_margin_rejected(self, text, margin):
@@ -224,15 +230,9 @@ class TestEvolve:
     def test_bx_rejected_in_prepare_and_measure(self):
         seq = StepSequence.fixed("BBxB")
         with pytest.raises(ProtocolClassError):
-            evolve(seq, sixstate_channel(0.05), prepare_and_measure=True)
-        # allowed when the trajectory is not flagged prepare-and-measure
-        assert evolve(seq, sixstate_channel(0.05), prepare_and_measure=False) is not None
-
-    def test_bx_rejected_before_any_round_runs(self, monkeypatch):
-        maps = CountingMaps(monkeypatch)
-        with pytest.raises(ProtocolClassError, match="^step Bx is EPP-only"):
-            evolve(StepSequence.fixed("BBx"), sixstate_channel(0.05), prepare_and_measure=True)
-        assert maps.calls == 0
+            simulate_protocol2_bits(sixstate_channel(0.05), seq, 100, seed=0)
+        # the rule belongs to the bit-level run: evolve runs every step kind
+        assert len(evolve(seq, sixstate_channel(0.05)).rounds) == 3
 
     def test_cycled_alternation_holds_every_round(self, monkeypatch):
         maps = CountingMaps(monkeypatch)

@@ -36,6 +36,8 @@ COMMANDS = {
         "attack --protocol bb84 --n 20000 --seed 7 --eve-matches-basis",
     "simulate_sixstate_BBBBB_csv":
         "simulate --family sixstate --p 0.2 --sequence BBBBB --n 20000 --seed 4 --format csv",
+    "bounds": "bounds",
+    "bounds_csv": "bounds --format csv",
     "bounds_table": "bounds --format table",
 }
 

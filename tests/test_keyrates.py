@@ -21,6 +21,7 @@ from twoway_qkd import (
     sixstate_channel,
     two_way_net_rate,
 )
+from twoway_qkd import cli
 from twoway_qkd.keyrates import one_minus_binary_entropy
 
 
@@ -214,24 +215,31 @@ class TestTwoWayNetRate:
 
 class TestBoundsTable:
     def test_reference_constants(self):
-        b = bounds_table()
-        assert b.bb84.two_way.upper == 0.25
-        assert b.bb84.two_way.lower == 0.189
-        assert b.bb84.one_way.upper == 0.146
-        assert b.bb84.one_way.lower == 0.110
-        assert b.sixstate.one_way.upper == 1.0 / 6.0
-        assert b.sixstate.one_way.lower == 0.127
-        assert b.sixstate.two_way.upper == 1.0 / 3.0
-        assert b.sixstate.two_way.lower == 0.264
+        assert bounds_table() == {
+            "bb84": {
+                "one_way": {"upper": 0.146, "lower": 0.110},
+                "two_way": {"upper": 0.25, "lower": 0.189},
+            },
+            "sixstate": {
+                "one_way": {"upper": 1.0 / 6.0, "lower": 0.127},
+                "two_way": {"upper": 1.0 / 3.0, "lower": 0.264},
+            },
+        }
 
     def test_two_way_bounds_dominate_one_way(self):
         b = bounds_table()
-        for pb in (b.bb84, b.sixstate):
-            assert pb.two_way.upper > pb.one_way.upper
-            assert pb.two_way.lower > pb.one_way.lower
+        for pb in (b["bb84"], b["sixstate"]):
+            assert pb["two_way"]["upper"] > pb["one_way"]["upper"]
+            assert pb["two_way"]["lower"] > pb["one_way"]["lower"]
 
-    def test_text_rendering_mentions_both_schemes(self):
-        text = bounds_table().as_text()
+    def test_table_is_a_new_dict_on_each_call(self):
+        b = bounds_table()
+        b["bb84"]["two_way"]["upper"] = 0.0
+        assert bounds_table()["bb84"]["two_way"]["upper"] == 0.25
+
+    def test_text_rendering_mentions_both_schemes(self, capsys):
+        assert cli.run(["bounds", "--format", "table"]) == 0
+        text = capsys.readouterr().out
         assert "BB84" in text
         assert "Six-state" in text
         assert "0.2640" in text

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import one_round, random_channels
+from conftest import CountingMaps, one_round, random_channels
 from sampled_oracles import FlagEnsemble, estimate_rates, flag_round, sample_flags
 from twoway_qkd import (
     PauliChannelParams,
@@ -222,6 +222,14 @@ class TestProtocol2Bits:
             simulate_protocol2_bits(
                 bb84_family(0.1, 0.0), StepSequence.fixed("BBx"), 100, seed=0
             )
+
+    def test_bx_rejected_before_any_round_runs(self, monkeypatch):
+        maps = CountingMaps(monkeypatch)
+        message = "step Bx is EPP-only and cannot appear in a prepare-and-measure sequence"
+        with pytest.raises(ProtocolClassError) as info:
+            simulate_protocol2_bits(sixstate_channel(0.05), StepSequence.fixed("BBx"), 100, 0)
+        assert str(info.value) == message
+        assert maps.calls == 0
 
     def test_alternating_realizes_analytic_schedule(self):
         seq, channel = StepSequence.alternating(50), sixstate_channel(0.2)

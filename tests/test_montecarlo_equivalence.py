@@ -13,7 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from twoway_qkd import PauliChannelParams, bb84_family, parse_sequence, sixstate_channel
+from twoway_qkd import (
+    PauliChannelParams,
+    ProtocolClassError,
+    bb84_family,
+    parse_sequence,
+    sixstate_channel,
+)
 from twoway_qkd.convergence import evolve
 from twoway_qkd.montecarlo import (
     AttackReport,
@@ -30,7 +36,11 @@ from twoway_qkd.steps import StepKind, _BLOCK_SIZES
 def reference_simulate_protocol2_bits(channel, seq, n, seed):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    traj = evolve(seq, channel, prepare_and_measure=True)
+    if any(kind is StepKind.BX for kind in seq.steps):
+        raise ProtocolClassError(
+            "step Bx is EPP-only and cannot appear in a prepare-and-measure sequence"
+        )
+    traj = evolve(seq, channel)
     rng = _stream(seed, 0)
     alice = rng.integers(0, 2, n, dtype=np.uint8)
     bob = alice ^ (rng.random(n) < channel.pz).astype(np.uint8)
@@ -139,6 +149,19 @@ def test_simulation_report_matches_reference(case, n, seed):
     got = simulate_protocol2_bits(channel, seq, n, seed)
     want = reference_simulate_protocol2_bits(channel, seq, n, seed)
     assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("n", [0, 1, 20000])
+@pytest.mark.parametrize("text", ["Bx", "BxBP", "BBx", "PPBx"])
+def test_bx_rejected_like_reference(text, n):
+    """A sequence holding Bx is refused by both forms, after the n check."""
+    args = (sixstate_channel(0.05), parse_sequence(text), n, 3)
+    with pytest.raises(ValueError) as got:
+        simulate_protocol2_bits(*args)
+    with pytest.raises(ValueError) as want:
+        reference_simulate_protocol2_bits(*args)
+    assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+    assert type(got.value) is (ValueError if n == 0 else ProtocolClassError)
 
 
 def test_grid_reaches_both_early_exits():

@@ -91,11 +91,6 @@ class TestBxStep:
             assert abs(qz - mirrored.qz) <= 1e-15
             assert abs(ps - cps) <= 1e-15
 
-    def test_flagged_epp_only(self):
-        assert StepKind.BX.epp_only
-        assert not StepKind.B.epp_only
-        assert not StepKind.P.epp_only
-
 
 class TestDeltaMaps:
     def test_b_identity(self):
