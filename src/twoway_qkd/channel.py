@@ -13,7 +13,6 @@ All types are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Validation tolerance: violations beyond this are rejected, while smaller
 # negative rates are clamped to zero.  It governs validation only; the step
@@ -31,8 +30,35 @@ def _checked_rate(value: float, name: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class PauliChannelParams:
+class _Record:
+    """Base of the package's value types, read-only once built.
+
+    A subclass's ``__init__`` stores its fields, in signature order, with
+    ``self.__dict__.update``.  Equality, hashing and ``repr`` read them in
+    that order, as a frozen dataclass's do; copies and unpickled instances
+    get the instance dict without a call to ``__init__``.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PauliChannelParams(_Record):
     """Error rates of an uncorrelated Pauli channel.
 
     Invariants: each rate is non-negative and ``qx + qy + qz <= 1``; the
@@ -41,13 +67,13 @@ class PauliChannelParams:
     zero rate, -0.0 included, is stored as +0.0.
     """
 
-    qx: float
-    qy: float
-    qz: float
+    def __init__(self, qx: float, qy: float, qz: float) -> None:
+        self.__dict__.update(
+            qx=_checked_rate(qx, "qx"), qy=_checked_rate(qy, "qy"), qz=_checked_rate(qz, "qz")
+        )
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        for name in ("qx", "qy", "qz"):
-            object.__setattr__(self, name, _checked_rate(getattr(self, name), name))
         total = self.qx + self.qy + self.qz
         if total > 1.0 + SIMPLEX_TOL:
             raise ValueError(f"qx + qy + qz must be <= 1, got {total}")

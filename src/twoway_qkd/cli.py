@@ -12,7 +12,6 @@ Exit codes: 0 on success (a diverged trajectory is a valid finding),
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -70,6 +69,7 @@ def _emit(
     if args.format == "json":
         text = json.dumps(_round_floats(payload), indent=2) + "\n"
     elif args.format == "csv":
+        import csv
         buf = io.StringIO()
         if columns:  # a per-round report: its header even when no round ran
             writer = csv.DictWriter(buf, fieldnames=columns)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import isfinite, prod
 from operator import mul
 
-from .channel import PauliChannelParams, bb84_family, sixstate_channel
+from .channel import PauliChannelParams, _Record, bb84_family, sixstate_channel
 from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
 from .keyrates import two_way_net_rate
 from .steps import StepKind, _BLOCK_SIZES, _RATE_FUNCS
@@ -85,8 +84,7 @@ def _css_viable(qx: float, qy: float, qz: float, margin: float) -> bool:
     return css_key_fraction(f1, f2) > margin
 
 
-@dataclass(frozen=True)
-class StepSequence:
+class StepSequence(_Record):
     """Ordered protocol descriptor: distillation rounds plus CSS stage.
 
     ``fixed`` policy applies ``steps`` in order and tests CSS viability at
@@ -95,36 +93,32 @@ class StepSequence:
     every round, stopping at the earliest success or after the last round.
     """
 
-    steps: tuple[StepKind, ...] = ()
-    policy: str = FIXED
-    max_rounds: int = DEFAULT_MAX_ROUNDS
-    css_margin: float = DEFAULT_CSS_MARGIN
-
-    def __post_init__(self) -> None:
-        if self.policy not in (FIXED, ALTERNATING):
-            raise ValueError(f"unknown policy {self.policy!r}")
-        if not 0 <= self.max_rounds <= MAX_ROUNDS:
-            raise ValueError(
-                f"max_rounds must be in [0, {MAX_ROUNDS}], got {self.max_rounds}"
-            )
-        if self.policy == ALTERNATING:
-            steps = tuple(islice(cycle((StepKind.B, StepKind.P)), self.max_rounds))
+    def __init__(
+        self, steps: tuple[StepKind, ...] = (), policy: str = FIXED,
+        max_rounds: int = DEFAULT_MAX_ROUNDS, css_margin: float = DEFAULT_CSS_MARGIN,
+    ) -> None:
+        if policy not in (FIXED, ALTERNATING):
+            raise ValueError(f"unknown policy {policy!r}")
+        if not 0 <= max_rounds <= MAX_ROUNDS:
+            raise ValueError(f"max_rounds must be in [0, {MAX_ROUNDS}], got {max_rounds}")
+        if policy == ALTERNATING:
+            steps = tuple(islice(cycle((StepKind.B, StepKind.P)), max_rounds))
         else:
-            steps = tuple(StepKind(s) for s in self.steps)
+            steps = tuple(StepKind(s) for s in steps)
             if not steps:
                 raise ValueError("fixed policy requires a non-empty step list")
-            if len(steps) > MAX_ROUNDS:
-                raise ValueError(
-                    f"a fixed sequence holds at most {MAX_ROUNDS} rounds, got {len(steps)}"
-                )
-        object.__setattr__(self, "steps", steps)
-        if not (isfinite(self.css_margin) and self.css_margin >= 0.0):
-            raise ValueError(f"css_margin must be finite and >= 0, got {self.css_margin}")
+            _check_length(len(steps))
+        if not (isfinite(css_margin) and css_margin >= 0.0):
+            raise ValueError(f"css_margin must be finite and >= 0, got {css_margin}")
+        self.__dict__.update(
+            steps=steps, policy=policy, max_rounds=max_rounds, css_margin=css_margin
+        )
 
     @classmethod
     def fixed(cls, steps, css_margin: float = DEFAULT_CSS_MARGIN) -> "StepSequence":
         """Build a fixed sequence from step kinds or a string like "BBBBBP"."""
         if isinstance(steps, str):
+            _check_length(len(steps) - steps.count("Bx"))  # exact: a token is B, P or Bx
             steps = _tokenize(steps)
         return cls(steps=tuple(steps), policy=FIXED, css_margin=css_margin)
 
@@ -140,6 +134,11 @@ class StepSequence:
         if self.policy == ALTERNATING:
             return f"alt:{self.max_rounds}"
         return "".join(k.value for k in self.steps)
+
+
+def _check_length(rounds: int) -> None:
+    if rounds > MAX_ROUNDS:
+        raise ValueError(f"a fixed sequence holds at most {MAX_ROUNDS} rounds, got {rounds}")
 
 
 def _tokenize(text: str) -> list[StepKind]:
@@ -167,8 +166,7 @@ def parse_sequence(text: str, css_margin: float = DEFAULT_CSS_MARGIN) -> StepSeq
     return StepSequence.fixed(text, css_margin=css_margin)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """A sequence evolution: the raw rates of every round and its CSS verdict.
 
     ``rounds`` holds one ``(qx, qy, qz, ps)`` tuple per round of the
@@ -182,11 +180,15 @@ class Trajectory:
     fractions in round order.
     """
 
-    initial: PauliChannelParams
-    sequence: StepSequence
-    rounds: tuple[tuple[float, float, float, float], ...]
-    converged: bool
-    diagnostic: str | None = None
+    def __init__(
+        self, initial: PauliChannelParams, sequence: StepSequence,
+        rounds: tuple[tuple[float, float, float, float], ...], converged: bool,
+        diagnostic: str | None = None,
+    ) -> None:
+        self.__dict__.update(
+            initial=initial, sequence=sequence, rounds=rounds, converged=converged,
+            diagnostic=diagnostic,
+        )
 
     @property
     def _kept_fractions(self) -> Iterator[float]:
@@ -312,15 +314,17 @@ def channel_for_family(family: str, p: float) -> PauliChannelParams:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(_Record):
     """Largest tolerable bit error rate of a sequence over a channel family."""
 
-    threshold_p: float
-    bracket: tuple[float, float]
-    sequence: StepSequence
-    family: str
-    diagnostic: str | None = None
+    def __init__(
+        self, threshold_p: float, bracket: tuple[float, float], sequence: StepSequence,
+        family: str, diagnostic: str | None = None,
+    ) -> None:
+        self.__dict__.update(
+            threshold_p=threshold_p, bracket=bracket, sequence=sequence, family=family,
+            diagnostic=diagnostic,
+        )
 
     def to_dict(self) -> dict:
         return {

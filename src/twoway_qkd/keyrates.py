@@ -9,8 +9,9 @@ scheme consumes more secret material than it produces.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Callable
+
+from .channel import _Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .convergence import Trajectory
@@ -55,8 +56,7 @@ def one_minus_binary_entropy(x: float) -> float:
     ) / _LN2
 
 
-@dataclass(frozen=True)
-class KeyRateReport:
+class KeyRateReport(_Record):
     """Net key rate of a post-processing scheme at bit error rate ``p``.
 
     ``components`` holds the named sub-terms the rate is assembled from;
@@ -64,14 +64,16 @@ class KeyRateReport:
     two-way run reports ``rate`` None and no components.
     """
 
-    scheme: str
-    p: float
-    rate: float | None
-    components: dict[str, float] = field(default_factory=dict)
-    note: str = ""
+    def __init__(
+        self, scheme: str, p: float, rate: float | None,
+        components: dict[str, float] | None = None, note: str = "",
+    ) -> None:
+        if components is None:
+            components = {}
+        self.__dict__.update(scheme=scheme, p=p, rate=rate, components=components, note=note)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self.__dict__, "components": dict(self.components)}
 
 
 def shor_preskill_rate(p: float) -> KeyRateReport:

@@ -20,19 +20,15 @@ Monte Carlo call; importing this module, as every analytic command does, does no
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
-from .channel import PauliChannelParams
+from .channel import PauliChannelParams, _Record
 from .convergence import StepSequence, evolve
 from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES
 
 if TYPE_CHECKING:
     import numpy as np
-
-logger = logging.getLogger(__name__)
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -52,18 +48,17 @@ def _random_blocks(seed: int, index: int, size: int, block: int) -> list[np.ndar
     return [perm[i : block * m : block] for i in range(block)]
 
 
-@dataclass(frozen=True)
-class RoundReport:
+class RoundReport(_Record):
     """Bit-level statistics of one protocol round."""
 
-    index: int
-    kind: StepKind
-    n_in: int
-    n_kept: int
-    disagreements: int
-    rate_hat: float
-    rate_pred: float
-    stderr: float
+    def __init__(
+        self, index: int, kind: StepKind, n_in: int, n_kept: int, disagreements: int,
+        rate_hat: float, rate_pred: float, stderr: float,
+    ) -> None:
+        self.__dict__.update(
+            index=index, kind=kind, n_in=n_in, n_kept=n_kept, disagreements=disagreements,
+            rate_hat=rate_hat, rate_pred=rate_pred, stderr=stderr,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -78,15 +73,14 @@ class RoundReport:
         }
 
 
-@dataclass(frozen=True)
-class Protocol2Report:
+class Protocol2Report(_Record):
     """Bit-level run of the advantage-distillation rounds."""
 
-    channel: PauliChannelParams
-    sequence: StepSequence
-    n: int
-    seed: int
-    rounds: tuple[RoundReport, ...]
+    def __init__(
+        self, channel: PauliChannelParams, sequence: StepSequence, n: int, seed: int,
+        rounds: tuple[RoundReport, ...],
+    ) -> None:
+        self.__dict__.update(channel=channel, sequence=sequence, n=n, seed=seed, rounds=rounds)
 
     def to_dict(self) -> dict:
         return {
@@ -135,7 +129,8 @@ def simulate_protocol2_bits(
         size = err.size
         block = _BLOCK_SIZES[kind]
         if size < block:
-            logger.warning("population exhausted before round %d", index)
+            import logging
+            logging.getLogger(__name__).warning("population exhausted before round %d", index)
             break
         e = [err[c] for c in _random_blocks(seed, index, size, block)]
         if kind is StepKind.B:
@@ -162,21 +157,20 @@ def simulate_protocol2_bits(
     return Protocol2Report(channel, seq, n, seed, tuple(rounds))
 
 
-@dataclass(frozen=True)
-class AttackReport:
+class AttackReport(_Record):
     """Sifted-key statistics under an intercept-resend attack."""
 
-    protocol: str
-    n: int
-    seed: int
-    sifted: int
-    sift_fraction: float
-    errors: int
-    error_rate: float
-    stderr: float
+    def __init__(
+        self, protocol: str, n: int, seed: int, sifted: int, sift_fraction: float, errors: int,
+        error_rate: float, stderr: float,
+    ) -> None:
+        self.__dict__.update(
+            protocol=protocol, n=n, seed=seed, sifted=sifted, sift_fraction=sift_fraction,
+            errors=errors, error_rate=error_rate, stderr=stderr,
+        )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(self.__dict__)
 
 
 def intercept_resend(

@@ -521,6 +521,10 @@ class TestPlumbing:
                 for argv in analytic:
                     assert cli.run(argv) == 0, argv
                 assert "numpy" not in sys.modules, "an analytic command loaded numpy"
+                for name in ("dataclasses", "inspect", "logging", "csv"):
+                    assert name not in sys.modules, f"an analytic command loaded {name}"
+                assert cli.run(["evolve", "--family", "sixstate", "--p", "0.1",
+                                "--sequence", "BP", "--format", "csv"]) == 0
                 assert cli.run(["attack", "--protocol", "bb84", "--n", "100"]) == 0
             assert "numpy" in sys.modules
             """

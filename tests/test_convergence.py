@@ -146,6 +146,16 @@ class TestSequenceParsing:
         with pytest.raises(ValueError, match="at most 10000 rounds, got 10001"):
             parse_sequence("B" * 10_001)
 
+    def test_over_long_string_refused_before_tokenizing(self, monkeypatch):
+        def fail(text):
+            raise AssertionError("tokenized an over-long string")
+
+        monkeypatch.setattr(convergence, "_tokenize", fail)
+        with pytest.raises(ValueError, match="at most 10000 rounds, got 2000000$"):
+            StepSequence.fixed("B" * 2_000_000)
+        with pytest.raises(ValueError, match="got 10001$"):
+            StepSequence.fixed("Bx" * 10_001)
+
     @pytest.mark.parametrize("text", ["BBBBB", "alt:200"])
     @pytest.mark.parametrize("margin", [float("nan"), float("inf")])
     def test_non_finite_margin_rejected(self, text, margin):
