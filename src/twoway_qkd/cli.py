@@ -6,7 +6,8 @@ arguments and seed.  JSON reports carry a top-level ``"schema": 1`` field
 and floats are serialized at 9 significant digits.
 
 Exit codes: 0 on success (a diverged trajectory is a valid finding),
-1 on usage or validation errors, 2 on internal numeric failures.
+1 on usage or validation errors and when the report cannot be written
+(to ``--output`` or to stdout), 2 on internal numeric failures.
 """
 
 from __future__ import annotations
@@ -32,13 +33,9 @@ SIMULATE_COLUMNS = (
 )
 
 
-class UsageError(ValueError):
-    """Bad command line; maps to exit status 1, as every ValueError does."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _round_floats(obj):
@@ -51,72 +48,67 @@ def _round_floats(obj):
     return obj
 
 
-def _flatten(prefix: str, obj, out: list[tuple[str, object]]) -> None:
+def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
     if isinstance(obj, dict):
-        for k, v in obj.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _flatten(f"{prefix}[{i}]", v, out)
-    else:
-        out.append((prefix, obj))
+        return [kv for k, v in obj.items()
+                for kv in _flatten(v, f"{prefix}.{k}" if prefix else str(k))]
+    if isinstance(obj, (list, tuple)):
+        return [kv for i, v in enumerate(obj) for kv in _flatten(v, f"{prefix}[{i}]")]
+    return [(prefix, obj)]
 
 
-def _emit(
-    args, payload: dict, columns: tuple[str, ...] = (), rows=(), table: str | None = None
-) -> None:
-    payload = {"schema": SCHEMA_VERSION, **payload}
+def _emit(args, payload: dict, rows: str = "", columns: tuple[str, ...] = (),
+          table: str | None = None) -> None:
+    """Write the report: ``rows`` names the payload list that CSV writes under ``columns``."""
+    report = _round_floats({"schema": SCHEMA_VERSION, "command": args.subcommand, **payload})
     if args.format == "json":
-        text = json.dumps(_round_floats(payload), indent=2) + "\n"
+        text = json.dumps(report, indent=2) + "\n"
     elif args.format == "csv":
         import csv
         buf = io.StringIO()
-        if columns:  # a per-round report: its header even when no round ran
+        if rows:  # a per-round report: its header even when no round ran
             writer = csv.DictWriter(buf, fieldnames=columns)
             writer.writeheader()
-            writer.writerows(_round_floats(r) for r in rows)
+            writer.writerows(report[rows])
         else:
-            flat: list[tuple[str, object]] = []
-            _flatten("", _round_floats(payload), flat)
-            writer = csv.writer(buf)
-            writer.writerow(["key", "value"])
-            writer.writerows(flat)
+            csv.writer(buf).writerows([("key", "value"), *_flatten(report)])
         text = buf.getvalue()
-    else:  # table
-        if table is None:
-            flat = []
-            _flatten("", _round_floats(payload), flat)
-            width = max((len(k) for k, _ in flat), default=0)
-            table = "\n".join(f"{k:<{width}}  {v}" for k, v in flat) + "\n"
+    elif table is None:
+        flat = _flatten(report)
+        width = max((len(k) for k, _ in flat), default=0)
+        text = "\n".join(f"{k:<{width}}  {v}" for k, v in flat) + "\n"
+    else:
         text = table
-    if args.output and args.output != "-":
-        try:
+    to_file = args.output and args.output != "-"
+    try:
+        if to_file:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"--output: {exc}")
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # an unwritable stdout is an output error too, not an internal one
+        raise ValueError(f"{'--output' if to_file else 'stdout'}: {exc}")
 
 
 def _sequence(args) -> convergence.StepSequence:
     try:
         return convergence.parse_sequence(args.sequence, css_margin=args.margin)
     except ValueError as exc:
-        raise UsageError(f"--sequence/--margin: {exc}")
+        raise ValueError(f"--sequence/--margin: {exc}")
 
 
 def _channel(args) -> PauliChannelParams:
     if args.p is None:
-        raise UsageError("--p: required")
+        raise ValueError("--p: required")
     if args.family != "bb84" and args.a != 0.0:
-        raise UsageError(f"--a: applies to --family bb84 only, got {args.a}")
+        raise ValueError(f"--a: applies to --family bb84 only, got {args.a}")
     try:
         if args.family == "bb84":
             return bb84_family(args.p, args.a)
         return sixstate_channel(args.p)
     except ValueError as exc:
-        raise UsageError(f"--p/--a: {exc}")
+        raise ValueError(f"--p/--a: {exc}")
 
 
 def _cmd_threshold(args) -> None:
@@ -125,21 +117,18 @@ def _cmd_threshold(args) -> None:
     try:
         result = convergence.find_threshold(seq, family, tol=args.tol)
     except ValueError as exc:
-        raise UsageError(f"--tol/--family: {exc}")
-    payload = {"command": "threshold", "tolerance": args.tol, **result.to_dict()}
-    _emit(args, payload)
+        raise ValueError(f"--tol/--family: {exc}")
+    _emit(args, {"tolerance": args.tol, **result.to_dict()})
 
 
 def _cmd_evolve(args) -> None:
     seq = _sequence(args)
     channel = _channel(args)
     traj = convergence.evolve(seq, channel)
-    rows = traj.to_rows()
-    payload = {
-        "command": "evolve",
+    _emit(args, {
         "sequence": str(seq),
         "channel": channel.to_dict(),
-        "records": rows,
+        "records": traj.to_rows(),
         "final": {
             "bit_rate": traj.final_bit_rate,
             "phase_rate": traj.final_phase_rate,
@@ -149,8 +138,7 @@ def _cmd_evolve(args) -> None:
             "net_rate": keyrates.two_way_net_rate(traj).rate,
             "diagnostic": traj.diagnostic,
         },
-    }
-    _emit(args, payload, EVOLVE_COLUMNS, rows)
+    }, "records", EVOLVE_COLUMNS)
 
 
 _RATE_FNS = {
@@ -163,50 +151,48 @@ _RATE_FNS = {
 def _cmd_keyrate(args) -> None:
     if args.scheme == "two_way":
         if args.find_threshold:
-            raise UsageError("--find-threshold: applies to the one-way schemes only")
+            raise ValueError("--find-threshold: applies to the one-way schemes only")
         if args.sequence is None:
-            raise UsageError("--sequence: required for scheme two_way")
+            raise ValueError("--sequence: required for scheme two_way")
         args.family = args.family or "sixstate"
         if args.margin is None:
             args.margin = convergence.DEFAULT_CSS_MARGIN
         seq = _sequence(args)
         report = keyrates.two_way_net_rate(convergence.evolve(seq, _channel(args)))
-        payload = {"command": "keyrate", "sequence": str(seq), **report.to_dict()}
-        _emit(args, payload)
+        _emit(args, {"sequence": str(seq), **report.to_dict()})
         return
     two_way_only = {"--a": args.a or None, "--family": args.family,
                     "--sequence": args.sequence, "--margin": args.margin}
     for name, value in two_way_only.items():
         if value is not None:
-            raise UsageError(f"{name}: applies to --scheme two_way only, got {value}")
+            raise ValueError(f"{name}: applies to --scheme two_way only, got {value}")
     fn = _RATE_FNS[args.scheme]
     if args.find_threshold:
         if args.p is not None:
-            raise UsageError(f"--p: not used with --find-threshold, got {args.p}")
+            raise ValueError(f"--p: not used with --find-threshold, got {args.p}")
         root = keyrates.rate_threshold(fn)
-        payload = {"command": "keyrate", "scheme": args.scheme, "threshold": root}
-        _emit(args, payload)
+        _emit(args, {"scheme": args.scheme, "threshold": root})
         return
     if args.p is None:
-        raise UsageError("--p: required unless --find-threshold is given")
+        raise ValueError("--p: required unless --find-threshold is given")
     try:
         report = fn(args.p)
     except ValueError as exc:
-        raise UsageError(f"--p: {exc}")
-    _emit(args, {"command": "keyrate", **report.to_dict()})
+        raise ValueError(f"--p: {exc}")
+    _emit(args, report.to_dict())
 
 
 def _seed(args) -> int:
     if args.seed < 0:
-        raise UsageError(f"--seed: must be a non-negative integer, got {args.seed}")
+        raise ValueError(f"--seed: must be a non-negative integer, got {args.seed}")
     return args.seed
 
 
 def _n(args) -> int:
     if args.n < 1:
-        raise UsageError(f"--n: must be a positive integer, got {args.n}")
+        raise ValueError(f"--n: must be a positive integer, got {args.n}")
     if args.n > _MAX_N:
-        raise UsageError(f"--n: must be at most {_MAX_N}, got {args.n}")
+        raise ValueError(f"--n: must be at most {_MAX_N}, got {args.n}")
     return args.n
 
 
@@ -214,15 +200,14 @@ def _cmd_simulate(args) -> None:
     seq = _sequence(args)
     channel = _channel(args)
     report = montecarlo.simulate_protocol2_bits(channel, seq, _n(args), _seed(args))
-    payload = {"command": "simulate", **report.to_dict()}
-    _emit(args, payload, SIMULATE_COLUMNS, [r.to_dict() for r in report.rounds])
+    _emit(args, report.to_dict(), "rounds", SIMULATE_COLUMNS)
 
 
 def _cmd_attack(args) -> None:
     report = montecarlo.intercept_resend(
         args.protocol, _n(args), _seed(args), eve_matches_basis=args.eve_matches_basis
     )
-    _emit(args, {"command": "attack", **report.to_dict()})
+    _emit(args, report.to_dict())
 
 
 def _cmd_optimize(args) -> None:
@@ -232,17 +217,15 @@ def _cmd_optimize(args) -> None:
             family, args.max_len, tol=args.tol, css_margin=args.margin
         )
     except ValueError as exc:
-        raise UsageError(f"--tol/--max-len/--margin: {exc}")
-    payload = {
-        "command": "optimize",
+        raise ValueError(f"--tol/--max-len/--margin: {exc}")
+    _emit(args, {
         "family": family,
         "max_len": args.max_len,
         "tolerance": args.tol,
         "best_sequence": str(best_seq),
         "threshold": best.threshold_p,
         "bracket": list(best.bracket),
-    }
-    _emit(args, payload)
+    })
 
 
 def _bounds_text(bounds: dict) -> str:
@@ -260,7 +243,7 @@ def _bounds_text(bounds: dict) -> str:
 
 def _cmd_bounds(args) -> None:
     bounds = keyrates.bounds_table()
-    _emit(args, {"command": "bounds", **bounds}, table=_bounds_text(bounds))
+    _emit(args, bounds, table=_bounds_text(bounds))
 
 
 def _add_common(sub, *, seq=False, chan=False, mc=False):
@@ -350,7 +333,7 @@ def run(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
-    except ValueError as exc:  # UsageError, ProtocolClassError, validation
+    except ValueError as exc:  # usage, output, ProtocolClassError, validation
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

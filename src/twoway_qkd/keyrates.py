@@ -9,13 +9,9 @@ scheme consumes more secret material than it produces.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from collections.abc import Callable
 
 from .channel import _Record
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .convergence import Trajectory
-
 
 _LN2 = math.log(2.0)
 

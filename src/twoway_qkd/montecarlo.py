@@ -21,14 +21,10 @@ Monte Carlo call; importing this module, as every analytic command does, does no
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .channel import PauliChannelParams, _Record
 from .convergence import StepSequence, evolve
 from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:

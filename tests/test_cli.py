@@ -25,6 +25,13 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _cli_process(args, **kwargs):
+    """Run a fresh interpreter on the package in ``src``; stderr is captured as text."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
+
+
 class TestThresholdCommand:
     def test_sixstate_five_b(self, capsys):
         code, out, _ = run_capture(
@@ -445,6 +452,76 @@ class TestKeyrateArguments:
         assert default == explicit
 
 
+# Every usage error the CLI raises, and argparse's own: exit 1 and the whole stderr line.
+USAGE_ERRORS = [
+    ("no-subcommand", [], "the following arguments are required: subcommand"),
+    ("bad-subcommand", ["frobnicate"],
+     "argument subcommand: invalid choice: 'frobnicate' (choose from 'threshold', 'evolve', "
+     "'keyrate', 'simulate', 'attack', 'optimize', 'bounds')"),
+    ("bad-choice", ["threshold", "--family", "trine", "--sequence", "B"],
+     "argument --family: invalid choice: 'trine' (choose from 'bb84', 'sixstate')"),
+    ("bad-float", ["evolve", "--family", "bb84", "--p", "x", "--sequence", "B"],
+     "argument --p: invalid float value: 'x'"),
+    ("bad-int", ["attack", "--protocol", "bb84", "--n", "1.5"],
+     "argument --n: invalid int value: '1.5'"),
+    ("missing-option", ["threshold", "--family", "sixstate"],
+     "the following arguments are required: --sequence"),
+    ("unknown-option", ["optimize", "--family", "sixstate", "--threads", "2"],
+     "unrecognized arguments: --threads 2"),
+    ("output", ["bounds", "--output", "{tmp}/missing/report.json"],
+     "--output: [Errno 2] No such file or directory: '{tmp}/missing/report.json'"),
+    ("sequence", ["threshold", "--family", "sixstate", "--sequence", "X"],
+     "--sequence/--margin: invalid step token 'X' at position 0"),
+    ("margin", ["threshold", "--family", "sixstate", "--sequence", "B", "--margin", "-1"],
+     "--sequence/--margin: css_margin must be finite and >= 0, got -1.0"),
+    ("threshold-tol", ["threshold", "--family", "sixstate", "--sequence", "B", "--tol", "0"],
+     "--tol/--family: tol must lie in [1e-6, 0.3333333333333333), got 0.0"),
+    ("two-way-p", ["keyrate", "--scheme", "two_way", "--sequence", "B"], "--p: required"),
+    ("a-off-bb84",
+     ["evolve", "--family", "sixstate", "--p", "0.1", "--a", "0.1", "--sequence", "B"],
+     "--a: applies to --family bb84 only, got 0.1"),
+    ("bb84-p", ["evolve", "--family", "bb84", "--p", "0.6", "--sequence", "B"],
+     "--p/--a: need 0 <= p <= 1/2, got p=0.6"),
+    ("sixstate-p", ["evolve", "--family", "sixstate", "--p", "-0.1", "--sequence", "B"],
+     "--p/--a: need 0 <= p <= 2/3, got p=-0.1"),
+    ("two-way-find-threshold", ["keyrate", "--scheme", "two_way", "--find-threshold"],
+     "--find-threshold: applies to the one-way schemes only"),
+    ("two-way-sequence", ["keyrate", "--scheme", "two_way", "--p", "0.1"],
+     "--sequence: required for scheme two_way"),
+    ("one-way-a", ["keyrate", "--scheme", "shor_preskill", "--p", "0.1", "--a", "0.01"],
+     "--a: applies to --scheme two_way only, got 0.01"),
+    ("one-way-family", ["keyrate", "--scheme", "shor_preskill", "--p", "0.1", "--family", "bb84"],
+     "--family: applies to --scheme two_way only, got bb84"),
+    ("one-way-sequence", ["keyrate", "--scheme", "shor_preskill", "--p", "0.1", "--sequence", "B"],
+     "--sequence: applies to --scheme two_way only, got B"),
+    ("one-way-margin", ["keyrate", "--scheme", "shor_preskill", "--p", "0.1", "--margin", "0.5"],
+     "--margin: applies to --scheme two_way only, got 0.5"),
+    ("find-threshold-p", ["keyrate", "--scheme", "inamori_bb84", "--find-threshold", "--p", "0.1"],
+     "--p: not used with --find-threshold, got 0.1"),
+    ("one-way-no-p", ["keyrate", "--scheme", "inamori_sixstate"],
+     "--p: required unless --find-threshold is given"),
+    ("one-way-p", ["keyrate", "--scheme", "shor_preskill", "--p", "1.5"],
+     "--p: need 0 <= p <= 1/2, got p=1.5"),
+    ("seed", ["attack", "--protocol", "bb84", "--seed", "-1"],
+     "--seed: must be a non-negative integer, got -1"),
+    ("n-zero", ["simulate", "--family", "bb84", "--p", "0.1", "--sequence", "B", "--n", "0"],
+     "--n: must be a positive integer, got 0"),
+    ("n-over", ["attack", "--protocol", "sixstate", "--n", "10000001"],
+     "--n: must be at most 10000000, got 10000001"),
+    ("max-len", ["optimize", "--family", "bb84", "--max-len", "0"],
+     "--tol/--max-len/--margin: max_len must be in [1, 16], got 0"),
+    ("optimize-tol", ["optimize", "--family", "bb84", "--tol", "-1"],
+     "--tol/--max-len/--margin: tol must lie in [1e-6, 0.3333333333333333), got -1.0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", [row[1:] for row in USAGE_ERRORS],
+                         ids=[row[0] for row in USAGE_ERRORS])
+def test_usage_error_bytes(capsys, tmp_path, argv, message):
+    code, out, err = run_capture(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert (code, out, err) == (1, "", f"error: {message.replace('{tmp}', str(tmp_path))}\n")
+
+
 class TestPlumbing:
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -535,6 +612,49 @@ class TestPlumbing:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_analytic_commands_do_not_load_typing(self):
+        # -S: on some hosts a site .pth file imports typing before the package does
+        script = textwrap.dedent(
+            """
+            import contextlib, io, sys
+            import twoway_qkd.cli as cli
+            analytic = [
+                ["threshold", "--family", "sixstate", "--sequence", "BB", "--tol", "1e-3"],
+                ["evolve", "--family", "bb84", "--p", "0.1", "--sequence", "BBP"],
+                ["keyrate", "--scheme", "shor_preskill", "--p", "0.05"],
+                ["optimize", "--family", "sixstate", "--max-len", "4", "--tol", "1e-3"],
+                ["bounds"],
+            ]
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in analytic:
+                    assert cli.run(argv) == 0, argv
+            assert "typing" not in sys.modules, "an analytic command loaded typing"
+            """
+        )
+        proc = _cli_process(["-S", "-c", script])
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("argv", [
+        ["bounds"],
+        ["evolve", "--family", "sixstate", "--p", "0.29", "--sequence", "alt:10000"],
+    ], ids=["short", "long"])
+    def test_closed_stdout_is_an_output_error(self, argv, fmt):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = _cli_process(["-m", "twoway_qkd.cli", *argv, "--format", fmt], stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "error: stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_is_an_output_error(self):
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(["-m", "twoway_qkd.cli", "bounds"], stdout=full)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: stdout: [Errno 28] No space left on device\n")
 
     def test_no_subcommand_exits_1(self, capsys):
         code, _, err = run_capture(capsys, [])
