@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 from . import convergence, keyrates, montecarlo
@@ -48,13 +49,15 @@ def _round_floats(obj):
     return obj
 
 
-def _flatten(obj, prefix: str = "") -> list[tuple[str, object]]:
+def _flatten(prefix: str, obj, out: list[tuple[str, object]]) -> None:
     if isinstance(obj, dict):
-        return [kv for k, v in obj.items()
-                for kv in _flatten(v, f"{prefix}.{k}" if prefix else str(k))]
-    if isinstance(obj, (list, tuple)):
-        return [kv for i, v in enumerate(obj) for kv in _flatten(v, f"{prefix}[{i}]")]
-    return [(prefix, obj)]
+        for k, v in obj.items():
+            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _flatten(f"{prefix}[{i}]", v, out)
+    else:
+        out.append((prefix, obj))
 
 
 def _emit(args, payload: dict, rows: str = "", columns: tuple[str, ...] = (),
@@ -71,10 +74,15 @@ def _emit(args, payload: dict, rows: str = "", columns: tuple[str, ...] = (),
             writer.writeheader()
             writer.writerows(report[rows])
         else:
-            csv.writer(buf).writerows([("key", "value"), *_flatten(report)])
+            flat: list[tuple[str, object]] = []
+            _flatten("", report, flat)
+            writer = csv.writer(buf)
+            writer.writerow(["key", "value"])
+            writer.writerows(flat)
         text = buf.getvalue()
     elif table is None:
-        flat = _flatten(report)
+        flat = []
+        _flatten("", report, flat)
         width = max((len(k) for k, _ in flat), default=0)
         text = "\n".join(f"{k:<{width}}  {v}" for k, v in flat) + "\n"
     else:
@@ -346,7 +354,12 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except OSError:  # reported by run(); still-buffered text goes to devnull, not to exit 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

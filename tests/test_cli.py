@@ -25,10 +25,24 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+# the five analytic commands, which a fresh interpreter runs in the cold-path tests
+ANALYTIC_COMMANDS = [
+    ["threshold", "--family", "sixstate", "--sequence", "BB", "--tol", "1e-3"],
+    ["evolve", "--family", "bb84", "--p", "0.1", "--sequence", "BBP"],
+    ["keyrate", "--scheme", "shor_preskill", "--p", "0.05"],
+    ["optimize", "--family", "sixstate", "--max-len", "4", "--tol", "1e-3"],
+    ["bounds"],
+]
+
+
 def _cli_process(args, **kwargs):
-    """Run a fresh interpreter on the package in ``src``; stderr is captured as text."""
+    """Run a fresh interpreter on the package in ``src``; stderr is captured as text.
+
+    ``PYTHONUNBUFFERED`` is dropped, so stdout is block-buffered as in a plain launch.
+    """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": src},
                           stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
 
 
@@ -583,17 +597,10 @@ class TestPlumbing:
 
     def test_analytic_commands_do_not_load_numpy(self):
         # conftest imports numpy, so the check needs a fresh interpreter.
-        script = textwrap.dedent(
+        script = f"analytic = {ANALYTIC_COMMANDS!r}\n" + textwrap.dedent(
             """
             import contextlib, io, sys
             import twoway_qkd, twoway_qkd.cli as cli
-            analytic = [
-                ["threshold", "--family", "sixstate", "--sequence", "BB", "--tol", "1e-3"],
-                ["evolve", "--family", "bb84", "--p", "0.1", "--sequence", "BBP"],
-                ["keyrate", "--scheme", "shor_preskill", "--p", "0.05"],
-                ["optimize", "--family", "sixstate", "--max-len", "4", "--tol", "1e-3"],
-                ["bounds"],
-            ]
             with contextlib.redirect_stdout(io.StringIO()):
                 for argv in analytic:
                     assert cli.run(argv) == 0, argv
@@ -606,26 +613,15 @@ class TestPlumbing:
             assert "numpy" in sys.modules
             """
         )
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
+        proc = _cli_process(["-c", script], stdout=subprocess.PIPE)
         assert proc.returncode == 0, proc.stderr
 
     def test_analytic_commands_do_not_load_typing(self):
         # -S: on some hosts a site .pth file imports typing before the package does
-        script = textwrap.dedent(
+        script = f"analytic = {ANALYTIC_COMMANDS!r}\n" + textwrap.dedent(
             """
             import contextlib, io, sys
             import twoway_qkd.cli as cli
-            analytic = [
-                ["threshold", "--family", "sixstate", "--sequence", "BB", "--tol", "1e-3"],
-                ["evolve", "--family", "bb84", "--p", "0.1", "--sequence", "BBP"],
-                ["keyrate", "--scheme", "shor_preskill", "--p", "0.05"],
-                ["optimize", "--family", "sixstate", "--max-len", "4", "--tol", "1e-3"],
-                ["bounds"],
-            ]
             with contextlib.redirect_stdout(io.StringIO()):
                 for argv in analytic:
                     assert cli.run(argv) == 0, argv
