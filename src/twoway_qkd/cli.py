@@ -6,8 +6,8 @@ arguments and seed.  JSON reports carry a top-level ``"schema": 1`` field
 and floats are serialized at 9 significant digits.
 
 Exit codes: 0 on success (a diverged trajectory is a valid finding),
-1 on usage or validation errors and when the report cannot be written
-(to ``--output`` or to stdout), 2 on internal numeric failures.
+1 on usage or validation errors and when the report or the ``--help`` text
+cannot be written (to ``--output`` or to stdout), 2 on internal numeric failures.
 """
 
 from __future__ import annotations
@@ -37,6 +37,31 @@ SIMULATE_COLUMNS = (
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise ValueError(message)
+
+    def print_help(self):  # -h/--help: argparse's own writer drops write errors
+        _write(self.format_help())
+
+
+def _write(text: str, output: str = "-") -> None:
+    """Write ``text`` to the ``output`` path, or to stdout when it is ``-``."""
+    to_file = output and output != "-"
+    try:
+        if to_file:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:  # an unwritable stdout is an output error too, not an internal one
+        raise ValueError(f"{'--output' if to_file else 'stdout'}: {exc}")
+
+
+def _blame(options: str, fn, *args, **kwargs):
+    """Call ``fn``; a ``ValueError`` it raises is re-raised as ``<options>: <message>``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{options}: {exc}")
 
 
 def _round_floats(obj):
@@ -87,23 +112,12 @@ def _emit(args, payload: dict, rows: str = "", columns: tuple[str, ...] = (),
         text = "\n".join(f"{k:<{width}}  {v}" for k, v in flat) + "\n"
     else:
         text = table
-    to_file = args.output and args.output != "-"
-    try:
-        if to_file:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-    except OSError as exc:  # an unwritable stdout is an output error too, not an internal one
-        raise ValueError(f"{'--output' if to_file else 'stdout'}: {exc}")
+    _write(text, args.output)
 
 
 def _sequence(args) -> convergence.StepSequence:
-    try:
-        return convergence.parse_sequence(args.sequence, css_margin=args.margin)
-    except ValueError as exc:
-        raise ValueError(f"--sequence/--margin: {exc}")
+    return _blame("--sequence/--margin", convergence.parse_sequence, args.sequence,
+                  css_margin=args.margin)
 
 
 def _channel(args) -> PauliChannelParams:
@@ -111,21 +125,15 @@ def _channel(args) -> PauliChannelParams:
         raise ValueError("--p: required")
     if args.family != "bb84" and args.a != 0.0:
         raise ValueError(f"--a: applies to --family bb84 only, got {args.a}")
-    try:
-        if args.family == "bb84":
-            return bb84_family(args.p, args.a)
-        return sixstate_channel(args.p)
-    except ValueError as exc:
-        raise ValueError(f"--p/--a: {exc}")
+    if args.family == "bb84":
+        return _blame("--p/--a", bb84_family, args.p, args.a)
+    return _blame("--p/--a", sixstate_channel, args.p)
 
 
 def _cmd_threshold(args) -> None:
     seq = _sequence(args)
     family = "bb84_worst" if args.family == "bb84" else args.family
-    try:
-        result = convergence.find_threshold(seq, family, tol=args.tol)
-    except ValueError as exc:
-        raise ValueError(f"--tol/--family: {exc}")
+    result = _blame("--tol/--family", convergence.find_threshold, seq, family, tol=args.tol)
     _emit(args, {"tolerance": args.tol, **result.to_dict()})
 
 
@@ -183,49 +191,38 @@ def _cmd_keyrate(args) -> None:
         return
     if args.p is None:
         raise ValueError("--p: required unless --find-threshold is given")
-    try:
-        report = fn(args.p)
-    except ValueError as exc:
-        raise ValueError(f"--p: {exc}")
-    _emit(args, report.to_dict())
+    _emit(args, _blame("--p", fn, args.p).to_dict())
 
 
-def _seed(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed: must be a non-negative integer, got {args.seed}")
-    return args.seed
-
-
-def _n(args) -> int:
+def _sample(args) -> tuple[int, int]:
+    """``--n`` and ``--seed``, checked in that order."""
     if args.n < 1:
         raise ValueError(f"--n: must be a positive integer, got {args.n}")
     if args.n > _MAX_N:
         raise ValueError(f"--n: must be at most {_MAX_N}, got {args.n}")
-    return args.n
+    if args.seed < 0:
+        raise ValueError(f"--seed: must be a non-negative integer, got {args.seed}")
+    return args.n, args.seed
 
 
 def _cmd_simulate(args) -> None:
     seq = _sequence(args)
     channel = _channel(args)
-    report = montecarlo.simulate_protocol2_bits(channel, seq, _n(args), _seed(args))
+    report = montecarlo.simulate_protocol2_bits(channel, seq, *_sample(args))
     _emit(args, report.to_dict(), "rounds", SIMULATE_COLUMNS)
 
 
 def _cmd_attack(args) -> None:
     report = montecarlo.intercept_resend(
-        args.protocol, _n(args), _seed(args), eve_matches_basis=args.eve_matches_basis
+        args.protocol, *_sample(args), eve_matches_basis=args.eve_matches_basis
     )
     _emit(args, report.to_dict())
 
 
 def _cmd_optimize(args) -> None:
     family = "bb84_worst" if args.family == "bb84" else args.family
-    try:
-        best_seq, best = convergence.optimize_sequence(
-            family, args.max_len, tol=args.tol, css_margin=args.margin
-        )
-    except ValueError as exc:
-        raise ValueError(f"--tol/--max-len/--margin: {exc}")
+    best_seq, best = _blame("--tol/--max-len/--margin", convergence.optimize_sequence,
+                            family, args.max_len, tol=args.tol, css_margin=args.margin)
     _emit(args, {
         "family": family,
         "max_len": args.max_len,

@@ -35,13 +35,16 @@ ANALYTIC_COMMANDS = [
 ]
 
 
-def _cli_process(args, **kwargs):
+def _cli_process(args, unbuffered=False, **kwargs):
     """Run a fresh interpreter on the package in ``src``; stderr is captured as text.
 
-    ``PYTHONUNBUFFERED`` is dropped, so stdout is block-buffered as in a plain launch.
+    ``PYTHONUNBUFFERED`` is dropped, so stdout is block-buffered as in a plain launch,
+    unless ``unbuffered`` sets it.
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": src},
                           stderr=subprocess.PIPE, text=True, timeout=120, **kwargs)
 
@@ -526,6 +529,8 @@ USAGE_ERRORS = [
      "--tol/--max-len/--margin: max_len must be in [1, 16], got 0"),
     ("optimize-tol", ["optimize", "--family", "bb84", "--tol", "-1"],
      "--tol/--max-len/--margin: tol must lie in [1e-6, 0.3333333333333333), got -1.0"),
+    ("optimize-margin", ["optimize", "--family", "sixstate", "--max-len", "4", "--margin", "nan"],
+     "--tol/--max-len/--margin: css_margin must be finite and >= 0, got nan"),
 ]
 
 
@@ -649,6 +654,26 @@ class TestPlumbing:
     def test_full_stdout_is_an_output_error(self):
         with open("/dev/full", "w") as full:
             proc = _cli_process(["-m", "twoway_qkd.cli", "bounds"], stdout=full)
+        assert (proc.returncode, proc.stderr) == (
+            1, "error: stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["threshold", "--help"]], ids=["top", "threshold"])
+    def test_help_to_a_closed_stdout_is_an_output_error(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _cli_process(["-m", "twoway_qkd.cli", *argv], unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "error: stdout: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["--help"], ["threshold", "--help"]], ids=["top", "threshold"])
+    def test_help_to_a_full_stdout_is_an_output_error(self, argv, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(["-m", "twoway_qkd.cli", *argv], unbuffered, stdout=full)
         assert (proc.returncode, proc.stderr) == (
             1, "error: stdout: [Errno 28] No space left on device\n")
 

@@ -1,9 +1,11 @@
 """Byte-for-byte CLI reports for fixed arguments and seeds.
 
 Each file ``tests/golden/<name>.txt`` holds the stdout of ``twoway-qkd``
-run with the arguments listed under ``<name>`` below.  The reports are a
-contract: a refactor must reproduce them exactly, and a deliberate change
-to any of them is a change to the CLI output that needs its own note.
+run with the arguments listed under ``<name>`` below, and each
+``tests/golden/help_<name>.txt`` the ``--help`` text of one subcommand (``top``:
+of the program) at 80 columns.  The reports are a contract: a refactor must
+reproduce them exactly, and a deliberate change to any of them is a change to
+the CLI output that needs its own note.
 """
 
 from pathlib import Path
@@ -47,3 +49,15 @@ def test_cli_output_is_byte_identical(name, capsys):
     assert cli.run(COMMANDS[name].split()) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+HELP = ["top", "threshold", "evolve", "keyrate", "simulate", "attack", "optimize", "bounds"]
+
+
+@pytest.mark.parametrize("name", HELP)
+def test_help_text_is_byte_identical(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    with pytest.raises(SystemExit) as exit_:
+        cli.run(["--help"] if name == "top" else [name, "--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"help_{name}.txt").read_bytes()
