@@ -67,19 +67,9 @@ def _b_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, floa
 
 
 def _bx_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
-    """Raw Bx-step map; the X<->Z mirror of the B step."""
-    px = qy + qz
-    ps = 1.0 - 2.0 * px * (1.0 - px)  # >= 1/2, as for B
-    qi = 1.0 - qx - qy - qz
-    nqx = 2.0 * qi * qx / ps
-    nqy = 2.0 * qz * qy / ps
-    nqz = (qz * qz + qy * qy) / ps
-    return (
-        nqx if nqx > 0.0 else 0.0,
-        nqy if nqy > 0.0 else 0.0,
-        nqz if nqz > 0.0 else 0.0,
-        ps,
-    )
+    """Raw Bx-step map: the B step with the roles of X and Z exchanged."""
+    nqz, nqy, nqx, ps = _b_rates(qz, qy, qx)
+    return nqx, nqy, nqz, ps
 
 
 def _p_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:

@@ -1,18 +1,20 @@
 """Independent oracles for the one-round maps in ``twoway_qkd.steps``.
 
-Two references that share no formula with the package's maps:
+Three references that share no formula with the package's maps:
 
 * :func:`enumerate_step_exact` propagates every Pauli configuration on one
   block through a round's keep/discard/correct logic;
 * the (pz, px, delta) reparametrization, :class:`DeltaCoords`, with the B
   and P maps written in it.  The argument that a = 0 is the worst BB84
   channel (delta >= 0 and 1 - 2 pz - 2 delta > 0 are preserved) is carried
-  out in these coordinates.
+  out in these coordinates;
+* the bias recursion, :data:`BIAS_MAPS`, which carries the biases
+  (lambda_Z, lambda_X, lambda_Y) of :func:`biases` through each round.
 
 The tests compare them with ``steps._RATE_FUNCS``, the maps the package
 applies.  :data:`MAX_CLAMPED_MAPS` holds the package's formulas with their
 earlier ``max(0.0, ...)`` clamps, the bit-for-bit reference for its branch
-clamps.
+clamps; its Bx entry is the X<->Z mirror (:func:`xz_mirror`) of its B entry.
 """
 
 from __future__ import annotations
@@ -119,6 +121,35 @@ def rates_in_delta(kind: StepKind, pz: float, px: float, delta: float) -> tuple[
     return qx + qy, qy + qz, qz - qy
 
 
+def biases(qx: float, qy: float, qz: float) -> tuple[float, float, float]:
+    """The biases (lambda_Z, lambda_X, lambda_Y): 1 - 2 x the error rate of Z, X and Y measurements.
+
+    ``qx + qy`` flips Z (the bit error rate), ``qy + qz`` flips X (the phase
+    error rate) and ``qx + qz`` flips Y.
+    """
+    return 1.0 - 2.0 * (qx + qy), 1.0 - 2.0 * (qy + qz), 1.0 - 2.0 * (qx + qz)
+
+
+def _b_bias(lz: float, lx: float, ly: float) -> tuple[float, float, float]:
+    """B-step map on the biases."""
+    d = 1.0 + lz * lz
+    return 2.0 * lz / d, (lx * lx + ly * ly) / d, 2.0 * lx * ly / d
+
+
+def _p_bias(lz: float, lx: float, ly: float) -> tuple[float, float, float]:
+    """P-step map on the biases."""
+    return lz**3, 0.5 * lx * (3.0 - lx * lx), 0.5 * ly * (3.0 * lz * lz - ly * ly)
+
+
+def _bx_bias(lz: float, lx: float, ly: float) -> tuple[float, float, float]:
+    """Bx-step map on the biases: B with lambda_Z and lambda_X exchanged."""
+    nlx, nlz, nly = _b_bias(lx, lz, ly)
+    return nlz, nlx, nly
+
+
+BIAS_MAPS = {StepKind.B: _b_bias, StepKind.P: _p_bias, StepKind.BX: _bx_bias}
+
+
 # Flag categories in (x, z) form: identity, X, Y, Z.
 _FLAGS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -187,19 +218,6 @@ def _b_rates_max(qx: float, qy: float, qz: float) -> tuple[float, float, float, 
     )
 
 
-def _bx_rates_max(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
-    """Bx map with ``max(0.0, ...)`` clamps."""
-    px = qy + qz
-    ps = 1.0 - 2.0 * px * (1.0 - px)
-    qi = 1.0 - qx - qy - qz
-    return (
-        max(0.0, 2.0 * qi * qx / ps),
-        max(0.0, 2.0 * qz * qy / ps),
-        max(0.0, (qz * qz + qy * qy) / ps),
-        ps,
-    )
-
-
 def _p_rates_max(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
     """P map with ``max(0.0, ...)`` clamps."""
     qi = 1.0 - qx - qy - qz
@@ -209,4 +227,16 @@ def _p_rates_max(qx: float, qy: float, qz: float) -> tuple[float, float, float, 
     return max(0.0, nqx), max(0.0, nqy), max(0.0, nqz), 1.0
 
 
-MAX_CLAMPED_MAPS = {StepKind.B: _b_rates_max, StepKind.P: _p_rates_max, StepKind.BX: _bx_rates_max}
+def xz_mirror(step):
+    """The X<->Z mirror of a raw map, as Bx is of B."""
+    def mirrored(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
+        nqz, nqy, nqx, ps = step(qz, qy, qx)
+        return nqx, nqy, nqz, ps
+    return mirrored
+
+
+MAX_CLAMPED_MAPS = {
+    StepKind.B: _b_rates_max,
+    StepKind.P: _p_rates_max,
+    StepKind.BX: xz_mirror(_b_rates_max),
+}

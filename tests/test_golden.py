@@ -19,11 +19,13 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "threshold_sixstate_BBBBB": "threshold --family sixstate --sequence BBBBB",
     "threshold_bb84_BBBBBPPPPPP": "threshold --family bb84 --sequence BBBBBPPPPPP",
+    "threshold_sixstate_BBxBB": "threshold --family sixstate --sequence BBxBB",
     "threshold_sixstate_BBBBB_table":
         "threshold --family sixstate --sequence BBBBB --format table",
     "evolve_sixstate_alt200": "evolve --family sixstate --p 0.29 --sequence alt:200",
     "evolve_bb84_BBBBBPPPPPP_csv":
         "evolve --family bb84 --p 0.15 --a 0 --sequence BBBBBPPPPPP --format csv",
+    "evolve_bb84_BBxPBP_csv": "evolve --family bb84 --p 0.15 --sequence BBxPBP --format csv",
     "evolve_bb84_alt200_csv": "evolve --family bb84 --p 0.2 --a 0 --sequence alt:200 --format csv",
     "keyrate_two_way": "keyrate --scheme two_way --family sixstate --p 0.1 --sequence BBBBB",
     "keyrate_two_way_diverged":

@@ -1,4 +1,4 @@
-"""Distillation-step maps against the enumeration and delta-coordinate oracles."""
+"""Distillation-step maps against the enumeration, delta-coordinate and bias oracles."""
 
 import math
 from itertools import permutations
@@ -8,14 +8,16 @@ import pytest
 
 from conftest import one_round, random_channels
 from oracles import (
+    BIAS_MAPS,
     MAX_CLAMPED_MAPS,
     DeltaCoords,
     b_step_delta,
+    biases,
     enumerate_step_exact,
     p_step_delta,
     rates_in_delta,
-    swap_xz,
     to_delta,
+    xz_mirror,
 )
 from twoway_qkd import PauliChannelParams, StepKind, bb84_family
 from twoway_qkd.steps import _RATE_FUNCS
@@ -81,15 +83,10 @@ class TestBxStep:
         assert qx == pytest.approx(0.16 / 0.82, abs=1e-15)
 
     def test_conjugation_identity(self):
-        # bx = swap_xz . b . swap_xz
-        for c in random_channels(300, seed=21):
-            qx, qy, qz, ps = rates(StepKind.BX, c)
-            cqx, cqy, cqz, cps = rates(StepKind.B, swap_xz(c))
-            mirrored = swap_xz(PauliChannelParams(cqx, cqy, cqz))
-            assert abs(qx - mirrored.qx) <= 1e-15
-            assert abs(qy - mirrored.qy) <= 1e-15
-            assert abs(qz - mirrored.qz) <= 1e-15
-            assert abs(ps - cps) <= 1e-15
+        # bx = swap_xz . b . swap_xz, bit for bit, round-off and -0.0 inputs included
+        mirrored_b = xz_mirror(_RATE_FUNCS[StepKind.B])
+        for q in [(c.qx, c.qy, c.qz) for c in random_channels(3000, seed=33)] + _roundoff_inputs():
+            assert repr(_RATE_FUNCS[StepKind.BX](*q)) == repr(mirrored_b(*q)), q
 
 
 class TestDeltaMaps:
@@ -125,6 +122,18 @@ class TestDeltaMaps:
                 assert abs(via_delta.pz - via_channel.pz) <= 1e-12
                 assert abs(via_delta.px - via_channel.px) <= 1e-12
                 assert abs(via_delta.delta - via_channel.delta) <= 1e-12
+
+
+class TestBiasRecursion:
+    @pytest.mark.parametrize("kind", list(StepKind))
+    def test_four_chained_rounds(self, kind):
+        for c in random_channels(3000, seed=11):
+            q = (c.qx, c.qy, c.qz)
+            lam = biases(*q)
+            for _ in range(4):
+                q = _RATE_FUNCS[kind](*q)[:3]
+                lam = BIAS_MAPS[kind](*lam)
+                assert max(abs(a - b) for a, b in zip(lam, biases(*q))) <= 1e-14, (kind, c)
 
 
 class TestEnumerationOracle:
