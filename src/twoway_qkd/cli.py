@@ -251,92 +251,83 @@ def _cmd_bounds(args) -> None:
     _emit(args, bounds, table=_bounds_text(bounds))
 
 
-def _add_common(sub, *, seq=False, chan=False, mc=False):
-    sub.add_argument("--format", choices=["json", "csv", "table"], default="json")
-    sub.add_argument("--output", default="-", help="output path (default: stdout)")
-    if seq:
-        sub.add_argument("--sequence", required=True,
-                         help='step string like "BBBBBPPPPPP" or "alt:200"')
-        sub.add_argument("--margin", type=float, default=convergence.DEFAULT_CSS_MARGIN,
-                         help="CSS viability margin")
-    if chan:
-        sub.add_argument("--family", choices=["bb84", "sixstate"], required=True)
-        sub.add_argument("--p", type=float, required=True, help="bit error rate")
-        sub.add_argument("--a", type=float, default=0.0,
-                         help="Y-error rate (bb84 family only)")
-    if mc:
-        sub.add_argument("--n", type=int, default=1_000_000, help="sample size")
-        sub.add_argument("--seed", type=int, default=0, help="RNG seed")
+_FAMILY = (("--family", dict(choices=["bb84", "sixstate"], required=True)),)
+_SEQUENCE = (
+    ("--sequence", dict(required=True, help='step string like "BBBBBPPPPPP" or "alt:200"')),
+    ("--margin", dict(type=float, default=convergence.DEFAULT_CSS_MARGIN,
+                      help="CSS viability margin")),
+)
+_CHANNEL = (
+    *_FAMILY,
+    ("--p", dict(type=float, required=True, help="bit error rate")),
+    ("--a", dict(type=float, default=0.0, help="Y-error rate (bb84 family only)")),
+)
+_SAMPLE = (
+    ("--n", dict(type=int, default=1_000_000, help="sample size")),
+    ("--seed", dict(type=int, default=0, help="RNG seed")),
+)
+
+# name: (help, epilog, arguments after --format and --output); run by _cmd_<name>
+_COMMANDS = {
+    "threshold": ("bisect the tolerable bit error rate", None, (
+        *_SEQUENCE, *_FAMILY,
+        ("--tol", dict(type=float, default=1e-4, help="bisection tolerance")),
+    )),
+    "evolve": ("run a step sequence on a channel",
+               f"CSV columns: {', '.join(EVOLVE_COLUMNS)} "
+               "(post-step channel rates, survival probability, cumulative yield)",
+               (*_SEQUENCE, *_CHANNEL)),
+    "keyrate": ("net key rate of a post-processing scheme", None, (
+        ("--scheme", dict(required=True, choices=[*_RATE_FNS, "two_way"])),
+        ("--p", dict(type=float, default=None, help="bit error rate")),
+        ("--a", dict(type=float, default=0.0, help="two_way, bb84 family only")),
+        ("--family", dict(choices=["bb84", "sixstate"], default=None,
+                          help="two_way only (default: sixstate)")),
+        ("--sequence", dict(default=None, help="two_way only, required")),
+        ("--margin", dict(type=float, default=None, help="two_way only: CSS viability margin")),
+        ("--find-threshold", dict(action="store_true",
+                                  help="report the scheme's zero-rate threshold instead")),
+    )),
+    "simulate": ("bit-level protocol simulation", f"CSV columns: {', '.join(SIMULATE_COLUMNS)}",
+                 (*_SEQUENCE, *_CHANNEL, *_SAMPLE)),
+    "attack": ("intercept-resend attack baseline", None, (
+        *_SAMPLE,
+        ("--protocol", dict(choices=["bb84", "sixstate"], required=True)),
+        ("--eve-matches-basis", dict(action="store_true",
+                                     help="diagnostic mode: Eve always measures in Alice's basis")),
+    )),
+    "optimize": ("search B/P sequences for the best threshold", None, (
+        *_FAMILY,
+        ("--max-len", dict(type=int, default=8)),
+        ("--tol", dict(type=float, default=1e-4)),
+        ("--margin", dict(type=float, default=convergence.DEFAULT_CSS_MARGIN)),
+    )),
+    "bounds": ("reference error-rate bounds table", None, ()),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="twoway-qkd",
-                     description="Two-way QKD post-processing toolkit")
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``: only the subcommand it names, its first token not starting
+    with ``-`` (no top-level option takes a value), gets its arguments."""
+    parser = _Parser(prog="twoway-qkd", description="Two-way QKD post-processing toolkit")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("threshold", help="bisect the tolerable bit error rate")
-    _add_common(p, seq=True)
-    p.add_argument("--family", choices=["bb84", "sixstate"], required=True)
-    p.add_argument("--tol", type=float, default=1e-4, help="bisection tolerance")
-    p.set_defaults(func=_cmd_threshold)
-
-    p = subs.add_parser(
-        "evolve",
-        help="run a step sequence on a channel",
-        epilog=f"CSV columns: {', '.join(EVOLVE_COLUMNS)} "
-        "(post-step channel rates, survival probability, cumulative yield)",
-    )
-    _add_common(p, seq=True, chan=True)
-    p.set_defaults(func=_cmd_evolve)
-
-    p = subs.add_parser("keyrate", help="net key rate of a post-processing scheme")
-    _add_common(p)
-    p.add_argument("--scheme", required=True,
-                   choices=[*_RATE_FNS.keys(), "two_way"])
-    p.add_argument("--p", type=float, default=None, help="bit error rate")
-    p.add_argument("--a", type=float, default=0.0, help="two_way, bb84 family only")
-    p.add_argument("--family", choices=["bb84", "sixstate"], default=None,
-                   help="two_way only (default: sixstate)")
-    p.add_argument("--sequence", default=None, help="two_way only, required")
-    p.add_argument("--margin", type=float, default=None,
-                   help="two_way only: CSS viability margin")
-    p.add_argument("--find-threshold", action="store_true",
-                   help="report the scheme's zero-rate threshold instead")
-    p.set_defaults(func=_cmd_keyrate)
-
-    p = subs.add_parser(
-        "simulate",
-        help="bit-level protocol simulation",
-        epilog=f"CSV columns: {', '.join(SIMULATE_COLUMNS)}",
-    )
-    _add_common(p, seq=True, chan=True, mc=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = subs.add_parser("attack", help="intercept-resend attack baseline")
-    _add_common(p, mc=True)
-    p.add_argument("--protocol", choices=["bb84", "sixstate"], required=True)
-    p.add_argument("--eve-matches-basis", action="store_true",
-                   help="diagnostic mode: Eve always measures in Alice's basis")
-    p.set_defaults(func=_cmd_attack)
-
-    p = subs.add_parser("optimize", help="search B/P sequences for the best threshold")
-    _add_common(p)
-    p.add_argument("--family", choices=["bb84", "sixstate"], required=True)
-    p.add_argument("--max-len", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--margin", type=float, default=convergence.DEFAULT_CSS_MARGIN)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = subs.add_parser("bounds", help="reference error-rate bounds table")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
-
+    named = next((token for token in argv if not token.startswith("-")), None)
+    for name, (help_, epilog, arguments) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_, epilog=epilog)
+        if name == named:
+            sub.add_argument("--format", choices=["json", "csv", "table"], default="json")
+            sub.add_argument("--output", default="-", help="output path (default: stdout)")
+            for flag, kwargs in arguments:
+                sub.add_argument(flag, **kwargs)
+            sub.set_defaults(func=globals()[f"_cmd_{name}"])
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         args.func(args)
     except ValueError as exc:  # usage, output, ProtocolClassError, validation
         print(f"error: {exc}", file=sys.stderr)

@@ -158,9 +158,12 @@ def _tokenize(text: str) -> list[StepKind]:
 def parse_sequence(text: str, css_margin: float = DEFAULT_CSS_MARGIN) -> StepSequence:
     """Parse "BBBBBPPPPPP"-style strings or "alt:N" alternation specs."""
     if text.startswith("alt:"):
-        try:
+        digits = text[4:].removeprefix("-")
+        try:  # ASCII digits only: int() alone also reads " 5", "+5", "1_0" and non-ASCII digits
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
             rounds = int(text[4:])
-        except ValueError:
+        except ValueError:  # or more digits than int() converts
             raise ValueError(f"invalid alternation spec {text!r}; expected alt:N")
         return StepSequence.alternating(max_rounds=rounds, css_margin=css_margin)
     return StepSequence.fixed(text, css_margin=css_margin)

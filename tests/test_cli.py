@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,9 @@ from twoway_qkd import (
     intercept_resend,
     shor_preskill_rate,
 )
-from twoway_qkd.cli import run
+from twoway_qkd.cli import build_parser, run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_capture(capsys, argv):
@@ -489,6 +492,8 @@ USAGE_ERRORS = [
      "--output: [Errno 2] No such file or directory: '{tmp}/missing/report.json'"),
     ("sequence", ["threshold", "--family", "sixstate", "--sequence", "X"],
      "--sequence/--margin: invalid step token 'X' at position 0"),
+    ("alt-count", ["evolve", "--family", "sixstate", "--p", "0.05", "--sequence", "alt: 1_0"],
+     "--sequence/--margin: invalid alternation spec 'alt: 1_0'; expected alt:N"),
     ("margin", ["threshold", "--family", "sixstate", "--sequence", "B", "--margin", "-1"],
      "--sequence/--margin: css_margin must be finite and >= 0, got -1.0"),
     ("threshold-tol", ["threshold", "--family", "sixstate", "--sequence", "B", "--tol", "0"],
@@ -539,6 +544,48 @@ USAGE_ERRORS = [
 def test_usage_error_bytes(capsys, tmp_path, argv, message):
     code, out, err = run_capture(capsys, [a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert (code, out, err) == (1, "", f"error: {message.replace('{tmp}', str(tmp_path))}\n")
+
+
+_CHOICES = ("(choose from 'threshold', 'evolve', 'keyrate', 'simulate', 'attack', 'optimize', "
+            "'bounds')")
+
+# argv shapes around the subcommand lookup: (argv, exit code, golden stdout or None, stderr)
+ARGV_SHAPES = [
+    ([], 1, None, "error: the following arguments are required: subcommand\n"),
+    (["-h"], 0, "help_top", ""),
+    (["--format", "json", "threshold"], 1, None,
+     f"error: argument subcommand: invalid choice: 'json' {_CHOICES}\n"),
+    (["thresh"], 1, None, f"error: argument subcommand: invalid choice: 'thresh' {_CHOICES}\n"),
+    (["threshold", "-h"], 0, "help_threshold", ""),
+    (["threshold"], 1, None,
+     "error: the following arguments are required: --sequence, --family\n"),
+    (["bounds", "--family", "bb84"], 1, None, "error: unrecognized arguments: --family bb84\n"),
+]
+
+
+class TestArgv:
+    @pytest.mark.parametrize("argv, code, golden, err", ARGV_SHAPES,
+                             ids=[" ".join(row[0]) or "empty" for row in ARGV_SHAPES])
+    def test_bytes(self, capsys, monkeypatch, argv, code, golden, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            got = run(argv)
+        except SystemExit as exc:  # --help exits through argparse
+            got = exc.code
+        out = (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8") if golden else ""
+        assert (got, *capsys.readouterr()) == (code, out, err)
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        subs = build_parser(["bounds"])._subparsers._group_actions[0].choices
+        flags = {name: [a.option_strings for a in sub._actions] for name, sub in subs.items()}
+        assert flags.pop("bounds") == [["-h", "--help"], ["--format"], ["--output"]]
+        assert flags == {name: [["-h", "--help"]] for name in
+                         ("threshold", "evolve", "keyrate", "simulate", "attack", "optimize")}
+
+    def test_run_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["twoway-qkd", "bounds"])
+        assert run() == 0
+        assert capsys.readouterr().out == (GOLDEN / "bounds.txt").read_text(encoding="utf-8")
 
 
 class TestPlumbing:
