@@ -11,8 +11,14 @@ Two layers:
 
 Randomness uses numpy's PCG64 generator (period 2^128).  Streams are split
 deterministically by seeding with ``[seed, stream_index]``: stream 0 draws
-the initial population, stream k >= 1 draws the random blocks of round k.
-Identical seeds give identical populations, pairings, and reports.
+the initial population, and stream k >= 1 shuffles round k's error bits in
+place to form its random blocks.  Identical seeds give identical
+populations, pairings, and reports.
+
+Every population array holds one byte a sample.  Draws that return int64
+or float64 values are made ``_CHUNK`` values at a time straight into such an
+array, so no array of n int64 or float64 values is ever held; a chunked draw
+consumes its stream exactly as one whole-array call does.
 
 numpy is imported inside the functions that sample, so it loads on the first
 Monte Carlo call; importing this module, as every analytic command does, does not.
@@ -21,10 +27,15 @@ Monte Carlo call; importing this module, as every analytic command does, does no
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from .channel import PauliChannelParams, _Record
 from .convergence import StepSequence, evolve
 from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES
+
+# Values per draw call.  A multiple of 4: a uint8 draw takes its values four
+# to a 32-bit word and drops the rest of the word when the call ends.
+_CHUNK = 2**16
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -32,16 +43,28 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
 
 
-def _random_blocks(seed: int, index: int, size: int, block: int) -> list[np.ndarray]:
-    """Random pairing (or trios) of ``size`` items, drawn from stream ``index``.
+def _chunked(draw: Callable[[int], np.ndarray], n: int, dtype: type) -> np.ndarray:
+    """``draw(n)`` cast to ``dtype``, drawn ``_CHUNK`` values at a time."""
+    import numpy as np
+    out = np.empty(n, dtype)
+    for start in range(0, n, _CHUNK):
+        chunk = out[start : start + _CHUNK]
+        chunk[...] = draw(chunk.size)
+    return out
 
-    Returns ``block`` index arrays of length ``size // block``: entry j of
-    array i is member i of block j.  The ``size % block`` leftovers are
-    dropped.
+
+def _shuffled_blocks(seed: int, index: int, bits: np.ndarray, block: int) -> list[np.ndarray]:
+    """Random pairing (or trios) of ``bits``, drawn from stream ``index``.
+
+    Shuffles ``bits`` in place and returns ``block`` strided views of length
+    ``bits.size // block``: entry j of view i is member i of block j.  The
+    ``bits.size % block`` leftovers are dropped.  Fisher-Yates draws the same
+    swaps whatever the dtype, so view i holds ``bits[perm[i : block * m : block]]``
+    for ``perm = _stream(seed, index).permutation(bits.size)``.
     """
-    perm = _stream(seed, index).permutation(size)
-    m = size // block
-    return [perm[i : block * m : block] for i in range(block)]
+    _stream(seed, index).shuffle(bits)
+    m = bits.size // block
+    return [bits[i : block * m : block] for i in range(block)]
 
 
 class RoundReport(_Record):
@@ -117,8 +140,9 @@ def simulate_protocol2_bits(
         )
     traj = evolve(seq, channel)
     rng = _stream(seed, 0)
-    rng.integers(0, 2, n, dtype=np.uint8)  # Alice's bits: keeps the flips' stream position
-    err = (rng.random(n) < channel.pz).astype(np.uint8)
+    for start in range(0, n, _CHUNK):  # Alice's bits: keep the flips' stream position
+        rng.integers(0, 2, min(_CHUNK, n - start), dtype=np.uint8)
+    err = _chunked(lambda k: rng.random(k) < channel.pz, n, np.uint8)
 
     rounds: list[RoundReport] = []
     for index, (kind, (qx, qy, _, _)) in enumerate(zip(seq.steps, traj.rounds), 1):
@@ -128,9 +152,9 @@ def simulate_protocol2_bits(
             import logging
             logging.getLogger(__name__).warning("population exhausted before round %d", index)
             break
-        e = [err[c] for c in _random_blocks(seed, index, size, block)]
+        e = _shuffled_blocks(seed, index, err, block)
         if kind is StepKind.B:
-            err = np.compress(e[0] == e[1], e[0])
+            err = e[0][e[0] == e[1]]
         else:  # P
             err = e[0] ^ e[1] ^ e[2]
         n_kept = int(err.size)
@@ -190,27 +214,29 @@ def intercept_resend(
         raise ValueError(f"need n >= 1, got {n}")
     n_bases = 2 if protocol == "bb84" else 3
     rng = _stream(seed, 0)
-    # Bases are drawn as int64, which fixes the stream, and held as int8.
-    alice_basis = rng.integers(0, n_bases, n).astype(np.int8)
+
+    def bases() -> np.ndarray:  # drawn as int64, which fixes the stream, and held as int8
+        return _chunked(lambda k: rng.integers(0, n_bases, k), n, np.int8)
+
+    alice_basis = bases()
     alice_bit = rng.integers(0, 2, n, dtype=np.uint8)
-    if eve_matches_basis:
-        eve_basis = alice_basis
-    else:
-        eve_basis = rng.integers(0, n_bases, n).astype(np.int8)
+    eve_basis = alice_basis if eve_matches_basis else bases()
     # Error bits relative to Alice: Eve's random bit counts where her basis differs.
     err = rng.integers(0, 2, n, dtype=np.uint8)
     err ^= alice_bit
     err &= eve_basis != alice_basis
-    bob_basis = rng.integers(0, n_bases, n).astype(np.int8)
+    bob_basis = bases()
     bob_reads_eve = bob_basis == eve_basis
     del eve_basis
+    sifted_mask = bob_basis == alice_basis
+    del alice_basis, bob_basis
     bob_err = rng.integers(0, 2, n, dtype=np.uint8)
     bob_err ^= alice_bit
+    del alice_bit
     # Bob keeps Eve's error where his basis matches hers, else his own.
     err ^= bob_err
     err &= bob_reads_eve
     err ^= bob_err
-    sifted_mask = bob_basis == alice_basis
     sifted = int(np.count_nonzero(sifted_mask))
     err &= sifted_mask
     errors = int(np.count_nonzero(err))

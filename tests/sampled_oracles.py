@@ -6,9 +6,9 @@ the closed-form maps.  It is the only sampled check of the phase and Y
 rates, which the bit-level protocol run cannot see.
 
 Random blocks come from the package's own seeded streams
-(``montecarlo._stream`` and ``montecarlo._random_blocks``): stream 0 draws
-the initial ensemble and stream k >= 1 the blocks of round k, so identical
-seeds give identical ensembles.
+(``montecarlo._stream``): stream 0 draws the initial ensemble and stream
+k >= 1 the blocks of round k, as index columns from :func:`_random_blocks`,
+so identical seeds give identical ensembles.
 """
 
 from __future__ import annotations
@@ -20,10 +20,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from twoway_qkd import PauliChannelParams, StepKind
-from twoway_qkd.montecarlo import _random_blocks, _stream
+from twoway_qkd.montecarlo import _stream
 from twoway_qkd.steps import _BLOCK_SIZES
 
 logger = logging.getLogger(__name__)
+
+
+def _random_blocks(seed: int, index: int, size: int, block: int) -> list[np.ndarray]:
+    """Random pairing (or trios) of ``size`` items, drawn from stream ``index``.
+
+    Returns ``block`` index arrays of length ``size // block``: entry j of
+    array i is member i of block j.  The ``size % block`` leftovers are
+    dropped.
+    """
+    perm = _stream(seed, index).permutation(size)
+    m = size // block
+    return [perm[i : block * m : block] for i in range(block)]
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,39 @@ class TestInterceptResend:
             intercept_resend("b92", 100, seed=0)
         with pytest.raises(ValueError, match="n >= 1"):
             intercept_resend("bb84", 0, seed=0)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs, above those traced before it.
+
+    numpy reports its array buffers to tracemalloc, so this counts them.  A
+    first, untraced call loads what loads lazily, such as ``numpy.random``.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBudget:
+    """Bytes held per sample.  Every population array is one byte a sample,
+    so a temporary of n int64 or float64 values (a permutation, a whole
+    basis or uniform draw) exceeds the budget wherever it is held."""
+
+    N = 10**6
+
+    @pytest.mark.parametrize("protocol", ["bb84", "sixstate"])
+    def test_attack(self, protocol):
+        assert traced_peak(lambda: intercept_resend(protocol, self.N, seed=4)) <= 7 * self.N
+
+    @pytest.mark.parametrize("text", ["BBBBBPPPPPP", "PB"])
+    def test_simulation(self, text):
+        args = (bb84_family(0.15, 0.0), parse_sequence(text), self.N, 4)
+        assert traced_peak(lambda: simulate_protocol2_bits(*args)) <= 3 * self.N
 
 
 class TestFlagStepAgreementSampled:

@@ -5,7 +5,11 @@ reports count: error bits relative to Alice instead of Alice's and Bob's
 bits side by side.  ``reference_intercept_resend`` and
 ``reference_simulate_protocol2_bits`` are the bit-carrying forms they
 replaced, kept here unchanged, and every report must match theirs exactly
-for every ``(n, seed)``: same draws, same pairings, same counts.
+for every ``(n, seed)``: same draws, same pairings, same counts.  The
+references draw each population array in one call and pair by index
+columns (``sampled_oracles._random_blocks``); the package draws ``_CHUNK``
+values at a time and shuffles the error bits in place, so the sizes below
+straddle the chunk boundaries.
 """
 
 import math
@@ -13,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from sampled_oracles import _random_blocks
 from twoway_qkd import (
     PauliChannelParams,
     ProtocolClassError,
@@ -25,7 +30,8 @@ from twoway_qkd.montecarlo import (
     AttackReport,
     Protocol2Report,
     RoundReport,
-    _random_blocks,
+    _CHUNK,
+    _shuffled_blocks,
     _stream,
     intercept_resend,
     simulate_protocol2_bits,
@@ -116,10 +122,11 @@ def reference_intercept_resend(protocol, n, seed, eve_matches_basis=False):
 
 
 SEEDS = [0, 1, 2, 7, 12345]
+CHUNK_SIZES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("n", [1, 2, 7, 20000])
+@pytest.mark.parametrize("n", [1, 2, 7, 20000, *CHUNK_SIZES])
 @pytest.mark.parametrize("eve_matches_basis", [False, True])
 @pytest.mark.parametrize("protocol", ["bb84", "sixstate"])
 def test_attack_report_matches_reference(protocol, eve_matches_basis, n, seed):
@@ -141,7 +148,7 @@ SIMULATIONS = {
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("n", [1, 2, 5, 20000])
+@pytest.mark.parametrize("n", [1, 2, 5, 20000, *CHUNK_SIZES])
 @pytest.mark.parametrize("case", sorted(SIMULATIONS))
 def test_simulation_report_matches_reference(case, n, seed):
     channel, text = SIMULATIONS[case]
@@ -149,6 +156,18 @@ def test_simulation_report_matches_reference(case, n, seed):
     got = simulate_protocol2_bits(channel, seq, n, seed)
     want = reference_simulate_protocol2_bits(channel, seq, n, seed)
     assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("size", [3, 4, 7, 1000, _CHUNK + 1])
+@pytest.mark.parametrize("block", [2, 3])
+def test_shuffled_blocks_match_index_columns(block, size):
+    """The in-place shuffle's strided views hold the bits the index columns pick."""
+    bits = (_stream(99, 0).random(size) < 0.4).astype(np.uint8)
+    want = [bits[c] for c in _random_blocks(5, 3, size, block)]
+    got = _shuffled_blocks(5, 3, bits.copy(), block)
+    assert len(got) == block
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("n", [0, 1, 20000])
