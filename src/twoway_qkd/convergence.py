@@ -14,7 +14,7 @@ from array import array
 from collections.abc import Iterator
 from itertools import accumulate, chain, cycle, islice, repeat
 from math import isfinite, prod
-from operator import mul
+from operator import itemgetter, mul, truediv
 
 from .channel import PauliChannelParams, _Record, bb84_family, sixstate_channel
 from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
@@ -43,6 +43,9 @@ DEFAULT_MAX_ROUNDS = 200
 #: Most rounds a sequence holds, as ``max_rounds`` or as a fixed string: an
 #: evolution keeps one tuple per round, so this bounds its memory.
 MAX_ROUNDS = 10_000
+
+_survival = itemgetter(3)  # ps of a round's (qx, qy, qz, ps)
+_block_size = _BLOCK_SIZES.__getitem__
 
 
 def css_key_fraction(f1: float, f2: float) -> float:
@@ -175,12 +178,12 @@ class Trajectory(_Record):
     ``rounds`` holds one ``(qx, qy, qz, ps)`` tuple per round of the
     sequence that ran.  A diverged alternating run that stopped at a
     repeated state holds all ``max_rounds`` rounds; those past the repeat
-    are copies of the last two computed ones.  These tuples are the
-    trajectory's only per-round data: the final rates, the CSS rate and
-    the rows of :meth:`to_rows` are all read from them, and no channel is
-    built per round.  A round keeps ``ps / block size`` of its pairs; the
-    rows' running yields and :attr:`cumulative_yield` multiply those
-    fractions in round order.
+    are copies of the last two or four computed ones, one period of the
+    cycle.  These tuples are the trajectory's only per-round data: the
+    final rates, the CSS rate and the rows of :meth:`to_rows` are all read
+    from them, and no channel is built per round.  A round keeps
+    ``ps / block size`` of its pairs; the rows' running yields and
+    :attr:`cumulative_yield` multiply those fractions in round order.
     """
 
     def __init__(
@@ -196,8 +199,7 @@ class Trajectory(_Record):
     @property
     def _kept_fractions(self) -> Iterator[float]:
         """Fraction of its pairs each round keeps: survival probability over block size."""
-        steps = zip(self.sequence.steps, self.rounds)
-        return (ps / _BLOCK_SIZES[kind] for kind, (_, _, _, ps) in steps)
+        return map(truediv, map(_survival, self.rounds), map(_block_size, self.sequence.steps))
 
     @property
     def _final_rates(self) -> tuple[float, float, float]:
@@ -245,27 +247,29 @@ class Trajectory(_Record):
 
 def _evolve_rounds(
     seq: StepSequence,
-    c: PauliChannelParams,
+    rates: tuple[float, float, float],
     rounds: list[tuple[float, float, float, float]] | None = None,
 ) -> bool:
     """Evolution kernel of :func:`evolve` and :func:`_converges`.
 
-    Applies ``seq``'s rounds to raw (qx, qy, qz) floats with the maps in
-    ``_RATE_FUNCS`` and returns the CSS verdict.  When ``rounds`` is a
-    list, each round's ``(qx, qy, qz, ps)`` is appended to it.
+    Applies ``seq``'s rounds to the raw rates ``(qx, qy, qz)``, plain floats
+    with no channel built, with the maps in ``_RATE_FUNCS`` and returns the
+    CSS verdict.  When ``rounds`` is a list, each round's
+    ``(qx, qy, qz, ps)`` is appended to it.
 
     An alternating run stops early once the state after round i equals the
-    state after round i - 2: both states have failed the CSS test, and the
-    maps are deterministic, so rounds i + 1, i + 2, ... repeat rounds i - 1
-    and i for good.
+    state after round i - 2, or else that after round i - 4: both states
+    have failed the CSS test, and the maps are deterministic and the step
+    kinds alternate with period 2, so the rounds after i repeat the last two
+    (or four) for good.
     """
     margin = seq.css_margin
-    qx, qy, qz = c.qx, c.qy, c.qz
+    qx, qy, qz = rates
     alternating = seq.policy == ALTERNATING
     if alternating:
         if _css_viable(qx, qy, qz, margin):
             return True
-        before_last = last = None  # states after rounds i - 2 and i - 1
+        s4 = s3 = s2 = s1 = None  # states after rounds i - 4, i - 3, i - 2 and i - 1
     maps = _RATE_FUNCS
     for kind in seq.steps:
         step = maps[kind](qx, qy, qz)
@@ -274,11 +278,11 @@ def _evolve_rounds(
             rounds.append(step)
         if alternating:
             state = (qx, qy, qz)
-            if state == before_last:
+            if state == s2 or state == s4:
                 return False
             if _css_viable(qx, qy, qz, margin):
                 return True
-            before_last, last = last, state
+            s4, s3, s2, s1 = s3, s2, s1, state
     return not alternating and _css_viable(qx, qy, qz, margin)
 
 
@@ -290,10 +294,11 @@ def evolve(seq: StepSequence, c: PauliChannelParams) -> Trajectory:
     N rounds; those past a repeated state are copies (see :class:`Trajectory`).
     """
     rounds: list[tuple[float, float, float, float]] = []
-    converged = _evolve_rounds(seq, c, rounds)
+    converged = _evolve_rounds(seq, (c.qx, c.qy, c.qz), rounds)
     diverged = seq.policy == ALTERNATING and not converged
-    if diverged:  # a cycled run's remaining rounds repeat its last two
-        rounds += islice(cycle(rounds[-2:]), seq.max_rounds - len(rounds))
+    if diverged and len(rounds) < seq.max_rounds:  # stopped at a repeat, after round 3 or later
+        period = 2 if rounds[-1][:3] == rounds[-3][:3] else 4
+        rounds += islice(cycle(rounds[-period:]), seq.max_rounds - len(rounds))
     return Trajectory(
         initial=c,
         sequence=seq,
@@ -303,9 +308,16 @@ def evolve(seq: StepSequence, c: PauliChannelParams) -> Trajectory:
     )
 
 
-def _converges(seq: StepSequence, c: PauliChannelParams) -> bool:
-    """``evolve(seq, c).converged`` without keeping the rounds, for search loops."""
-    return _evolve_rounds(seq, c)
+def _converges(seq: StepSequence, rates: tuple[float, float, float]) -> bool:
+    """``evolve(seq, c).converged`` from c's raw ``(qx, qy, qz)``, keeping no rounds.
+
+    Every record-free verdict of the searches goes through this one call.
+    """
+    return _evolve_rounds(seq, rates)
+
+
+def _unknown_family(family: str) -> ValueError:
+    return ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
 def channel_for_family(family: str, p: float) -> PauliChannelParams:
@@ -314,7 +326,21 @@ def channel_for_family(family: str, p: float) -> PauliChannelParams:
         return bb84_family(p, 0.0)
     if family == "sixstate":
         return sixstate_channel(p)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    raise _unknown_family(family)
+
+
+def _family_rates(family: str, p: float) -> tuple[float, float, float]:
+    """Raw ``(qx, qy, qz)`` of ``channel_for_family(family, p)``, with no channel built.
+
+    For every p in [0, 1/2] the rates equal the channel's bit for bit; ``p``
+    itself is not validated.
+    """
+    if family == "bb84_worst":
+        return p, 0.0, p
+    if family == "sixstate":
+        q = 0.5 * p
+        return q, q, q
+    raise _unknown_family(family)
 
 
 class ThresholdResult(_Record):
@@ -345,13 +371,15 @@ def find_threshold(seq: StepSequence, family: str, tol: float = 1e-4) -> Thresho
     Convergence is assumed monotone in p over the bracket; this is
     spot-checked at 8 sample points and a violation raises
     :class:`NumericalError`.  If the sequence fails even at p = tol, a
-    zero-threshold result with a diagnostic is returned.
+    zero-threshold result with a diagnostic is returned.  Each verdict is
+    one :func:`_converges` call on the family's raw rates at p: no channel
+    is built or validated inside the search.
     """
     if not 1e-6 <= tol < BRACKET_UPPER:
         raise ValueError(f"tol must lie in [1e-6, {BRACKET_UPPER}), got {tol}")
 
     def conv(p: float) -> bool:
-        return _converges(seq, channel_for_family(family, p))
+        return _converges(seq, _family_rates(family, p))
 
     spot_flags = [conv(BRACKET_UPPER * i / 9.0) for i in range(1, 9)]
     if spot_flags != sorted(spot_flags, reverse=True):  # not all True before all False
@@ -396,9 +424,12 @@ def _next_level(shorter: array) -> array:
     return out
 
 
-def _probe_states(root: PauliChannelParams, length: int) -> array:
-    """Flat (qx, qy, qz, ps) of every length-``length`` B/P string, ``bits`` at index ``4 * bits``."""
-    level = array("d", (root.qx, root.qy, root.qz, 1.0))  # no round yet: ps = 1
+def _probe_states(root: tuple[float, float, float], length: int) -> array:
+    """Flat (qx, qy, qz, ps) of every length-``length`` B/P string, ``bits`` at index ``4 * bits``.
+
+    ``root`` is the raw ``(qx, qy, qz)`` the strings start from.
+    """
+    level = array("d", (*root, 1.0))  # no round yet: ps = 1
     for _ in range(length):
         level = _next_level(level)
     return level
@@ -439,7 +470,7 @@ def optimize_sequence(
 
     found = []  # (seq, res) of every bisected candidate, in candidate order
     best_threshold = None  # highest threshold so far: the prune's reference
-    probe_root = None  # channel at best_threshold - 2*tol, once that is above 0
+    probe_root = None  # raw rates at best_threshold - 2*tol, once that is above 0
     level = viable = None  # whole level of this length's probe states at probe_root, and its screen
     for length in range(1, max_len + 1):
         if probe_root is not None:
@@ -462,7 +493,7 @@ def optimize_sequence(
             if best_threshold is None or res.threshold_p > best_threshold:
                 best_threshold = res.threshold_p
                 probe = max(best_threshold - 2.0 * tol, 0.0)
-                probe_root = channel_for_family(family, probe) if probe > 0.0 else None
+                probe_root = _family_rates(family, probe) if probe > 0.0 else None
                 level = viable = None
     assert found
     near = [(seq, res) for seq, res in found if res.threshold_p >= best_threshold - tol]

@@ -8,6 +8,11 @@ from twoway_qkd import PauliChannelParams, StepKind, StepSequence, bb84_family, 
 from twoway_qkd.convergence import _converges
 
 
+def raw_rates(c: PauliChannelParams) -> tuple[float, float, float]:
+    """Raw ``(qx, qy, qz)`` of ``c``: the state the evolution kernel takes."""
+    return c.qx, c.qy, c.qz
+
+
 def random_channels(n: int, seed: int, scale: float = 1.0) -> list[PauliChannelParams]:
     """Seeded sample of channels uniform over the (qx, qy, qz, qi) simplex.
 
@@ -70,4 +75,5 @@ def worst_case_flags(seq: StepSequence, p: float, grid_size: int) -> list[bool]:
     hypotheses: p < 1/4, and ``seq`` a B/P string that starts with B.
     """
     assert p < 0.25 and seq.steps[:1] == (StepKind.B,) and StepKind.BX not in seq.steps
-    return [_converges(seq, bb84_family(p, p * i / (grid_size - 1))) for i in range(grid_size)]
+    channels = (bb84_family(p, p * i / (grid_size - 1)) for i in range(grid_size))
+    return [_converges(seq, raw_rates(c)) for c in channels]

@@ -627,8 +627,8 @@ class TestPlumbing:
     def test_non_monotone_threshold_exits_2(self, capsys, monkeypatch):
         from twoway_qkd import convergence
 
-        # the first spot point (p = 1/27) diverges and every other p converges
-        monkeypatch.setattr(convergence, "_converges", lambda seq, c: c.pz > 0.04)
+        # the first spot point (p = qx + qy = 1/27) diverges and every other p converges
+        monkeypatch.setattr(convergence, "_converges", lambda seq, q: q[0] + q[1] > 0.04)
         code, out, err = run_capture(capsys, ["threshold", "--family", "bb84", "--sequence", "B"])
         assert code == 2
         assert out == ""

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from conftest import CountingMaps, random_channels, worst_case_flags
+from conftest import CountingBuilds, CountingMaps, random_channels, raw_rates, worst_case_flags
 from twoway_qkd import (
     PauliChannelParams,
     ProtocolClassError,
@@ -24,9 +24,11 @@ from twoway_qkd import (
 )
 from twoway_qkd.convergence import (
     BRACKET_UPPER,
+    FAMILIES,
     MAX_ROUNDS,
     _converges,
     _css_viable,
+    _family_rates,
     channel_for_family,
 )
 from twoway_qkd.keyrates import NumericalError
@@ -34,10 +36,19 @@ from twoway_qkd.keyrates import NumericalError
 #: The 8 points at which find_threshold spot-checks monotonicity.
 SPOT_POINTS = [BRACKET_UPPER * i / 9.0 for i in range(1, 9)]
 
+#: The headline threshold searches: (sequence, family, tol).
+PAPER_THRESHOLDS = [
+    ("BBBBB", "sixstate", 1e-4),
+    ("BBBBBPPPPPP", "bb84_worst", 1e-4),
+    ("alt:200", "sixstate", 1e-4),
+    ("alt:200", "bb84_worst", 1e-4),
+    ("BBBBBPPPPPP", "bb84_worst", 1e-6),
+]
+
 
 def fake_verdicts(monkeypatch, converges_at):
-    """Answer every ``_converges`` call with ``converges_at(p)``, p the channel's bit error rate."""
-    monkeypatch.setattr(convergence, "_converges", lambda seq, c: converges_at(c.pz))
+    """Answer every ``_converges`` call with ``converges_at(p)``, p the bit error rate qx + qy."""
+    monkeypatch.setattr(convergence, "_converges", lambda seq, q: converges_at(q[0] + q[1]))
 
 
 class TestCssKeyFraction:
@@ -273,7 +284,7 @@ class TestConvergesFastPath:
         ]
         for c in random_channels(300, seed=31, scale=0.7):
             for seq in sequences:
-                assert _converges(seq, c) == evolve(seq, c).converged
+                assert _converges(seq, raw_rates(c)) == evolve(seq, c).converged
 
     @pytest.mark.parametrize("text", [
         "BBBBB",
@@ -285,7 +296,7 @@ class TestConvergesFastPath:
     def test_verdict_does_not_rise_with_p(self, text):
         seq = parse_sequence(text)
         grid = [0.185 + 5e-5 * i for i in range(220)]  # 0.185 to 0.19595
-        verdicts = [_converges(seq, channel_for_family("bb84_worst", p)) for p in grid]
+        verdicts = [_converges(seq, _family_rates("bb84_worst", p)) for p in grid]
         assert verdicts == sorted(verdicts, reverse=True)
 
 
@@ -401,6 +412,56 @@ class TestWorstCaseScan:
     def test_alternating_policy_is_accepted(self):
         flags = worst_case_flags(StepSequence.alternating(200), 0.15, 5)
         assert not flags[0] or all(flags)
+
+
+class TestFamilyRates:
+    """The searches' raw rates are those of the family's channel, bit for bit."""
+
+    @staticmethod
+    def assert_channel_rates(family, p):
+        c = channel_for_family(family, p)
+        # repr tells apart floats that compare equal, such as 0.0 and -0.0
+        assert repr(_family_rates(family, p)) == repr((c.qx, c.qy, c.qz)), (family, p)
+
+    @pytest.mark.parametrize("text, family, tol", PAPER_THRESHOLDS)
+    def test_every_point_of_a_search(self, monkeypatch, text, family, tol):
+        searched = []
+
+        def recording(fam, p, rates_at=_family_rates):
+            searched.append((fam, p))
+            return rates_at(fam, p)
+
+        monkeypatch.setattr(convergence, "_family_rates", recording)
+        find_threshold(parse_sequence(text), family, tol)
+        assert len(searched) > 20  # 8 spot points, 2 bracket ends, the bisection midpoints
+        for fam, p in searched:
+            self.assert_channel_rates(fam, p)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_random_points(self, family):
+        rng = random.Random(1)
+        for _ in range(10_000):
+            self.assert_channel_rates(family, BRACKET_UPPER * (1.0 - rng.random()))  # (0, 1/3]
+
+    @pytest.mark.parametrize("text, family, tol", PAPER_THRESHOLDS)
+    def test_search_builds_no_channel(self, monkeypatch, text, family, tol):
+        builds = CountingBuilds(monkeypatch, PauliChannelParams)
+        find_threshold(parse_sequence(text), family, tol)
+        assert builds.built == 0
+
+    def test_unknown_family_error_unchanged(self, monkeypatch):
+        verdicts = []
+        monkeypatch.setattr(convergence, "_converges", lambda seq, q: verdicts.append(q))
+        message = "unknown family 'qkd'; expected one of ('bb84_worst', 'sixstate')"
+        for call in (
+            lambda: channel_for_family("qkd", 0.2),
+            lambda: find_threshold(StepSequence.fixed("B"), "qkd", tol=1e-4),
+            lambda: optimize_sequence("qkd", 3),
+        ):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+        assert verdicts == []
 
 
 def test_channel_for_family():

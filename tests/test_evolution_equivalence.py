@@ -1,7 +1,7 @@
 """The single evolution kernel against the two full-length reference loops."""
 
 import pytest
-from conftest import CountingBuilds, CountingMaps
+from conftest import CountingBuilds, CountingMaps, raw_rates
 
 from twoway_qkd import (
     PauliChannelParams,
@@ -13,6 +13,7 @@ from twoway_qkd import convergence
 from twoway_qkd.convergence import (
     ALTERNATING,
     _converges,
+    _family_rates,
     channel_for_family,
     css_key_fraction,
     find_threshold,
@@ -102,10 +103,10 @@ def reference_evolve(seq, c):
     return finish(css_key_fraction(cur.pz, cur.px) > margin)
 
 
-def reference_converges(seq, c):
-    """Record-free loop over raw floats that runs every round."""
+def reference_converges(seq, rates):
+    """Record-free loop over the raw rates ``(qx, qy, qz)`` that runs every round."""
     margin = seq.css_margin
-    qx, qy, qz = c.qx, c.qy, c.qz
+    qx, qy, qz = rates
     if seq.policy == ALTERNATING:
         if css_key_fraction(qx + qy, qy + qz) > margin:
             return True
@@ -137,7 +138,7 @@ def assert_identical(seq, channels):
     for c in channels:
         # repr tells apart floats that compare equal, such as 0.0 and -0.0
         assert repr(observables(evolve(seq, c))) == repr(reference_evolve(seq, c))
-        assert _converges(seq, c) == reference_converges(seq, c)
+        assert _converges(seq, raw_rates(c)) == reference_converges(seq, raw_rates(c))
 
 
 @pytest.mark.parametrize("text", SEQUENCES)
@@ -159,12 +160,45 @@ def test_alternating_threshold_identical(monkeypatch, family):
     assert found == find_threshold(seq, family)
 
 
+#: Points whose alt:200 run ends on a four-round cycle near (1/4, 1/4, 1/4):
+#: no state equals the one two rounds before it.
+PERIOD_FOUR = [
+    ("sixstate", 0.268), ("sixstate", 0.274), ("sixstate", 0.299),
+    ("bb84_worst", 0.282), ("bb84_worst", 0.298),
+]
+
+
 class TestCycleExit:
     """An alternating run stops computing once its state repeats."""
 
+    @pytest.mark.parametrize("family, p", PERIOD_FOUR)
+    def test_period_four_exit(self, monkeypatch, family, p):
+        seq, c = parse_sequence("alt:200"), channel_for_family(family, p)
+        expected = repr(reference_evolve(seq, c))  # all 200 rounds computed
+        maps = CountingMaps(monkeypatch)
+        assert not _converges(seq, raw_rates(c))
+        assert maps.calls < 30
+        maps.calls = 0
+        t = evolve(seq, c)
+        assert maps.calls < 30
+        assert repr(observables(t)) == expected
+        computed = maps.calls
+        assert t.rounds[computed - 1][:3] != t.rounds[computed - 3][:3]
+        assert all(t.rounds[k] is t.rounds[k - 4] for k in range(computed, 200))
+
+    @pytest.mark.parametrize("text", [f"alt:{n}" for n in range(6)])
+    @pytest.mark.parametrize("p", [0.298, 0.5], ids=["no-repeat", "repeat-at-round-3"])
+    def test_short_alternations_that_diverge(self, text, p):
+        # bb84_worst at p = 1/2 goes to (1/2, 0, 0) in round 1 and stays there
+        seq, c = parse_sequence(text), channel_for_family("bb84_worst", p)
+        t = evolve(seq, c)
+        assert not t.converged and len(t.rounds) == seq.max_rounds
+        assert repr(observables(t)) == repr(reference_evolve(seq, c))
+        assert not _converges(seq, raw_rates(c))
+
     def test_record_free_verdict(self, monkeypatch):
         maps = CountingMaps(monkeypatch)
-        assert not _converges(parse_sequence("alt:200"), channel_for_family("sixstate", 0.28))
+        assert not _converges(parse_sequence("alt:200"), _family_rates("sixstate", 0.28))
         assert maps.calls < 40
 
     def test_trajectory_keeps_every_round(self, monkeypatch):
@@ -190,7 +224,7 @@ class TestCycleExit:
 
     def test_fixed_strings_run_every_round(self, monkeypatch):
         maps = CountingMaps(monkeypatch)
-        assert not _converges(parse_sequence("BP" * 100), channel_for_family("sixstate", 0.28))
+        assert not _converges(parse_sequence("BP" * 100), _family_rates("sixstate", 0.28))
         assert maps.calls == 200
 
 
@@ -204,7 +238,7 @@ class TestLazyRecords:
         seq, c = parse_sequence("alt:200"), channel_for_family("sixstate", 0.28)
         maps = CountingMaps(monkeypatch)
         builds = CountingBuilds(monkeypatch, PauliChannelParams)
-        assert not _converges(seq, c)
+        assert not _converges(seq, raw_rates(c))
         t = evolve(seq, c)
         assert not t.converged
         assert len(t.to_rows()) == 200

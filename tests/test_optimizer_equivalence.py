@@ -16,11 +16,11 @@ from twoway_qkd.convergence import (
     DEFAULT_CSS_MARGIN,
     _converges,
     _evolve_rounds,
+    _family_rates,
     _net_rate_near_threshold,
     _next_level,
     _probe_states,
     _screen,
-    channel_for_family,
     css_key_fraction,
 )
 from twoway_qkd.keyrates import NumericalError
@@ -48,7 +48,7 @@ def reference_optimize(family, max_len, tol=1e-4, css_margin=DEFAULT_CSS_MARGIN)
     for seq in candidates:
         res = None
         probe = None if best_threshold is None else max(best_threshold - 2.0 * tol, 0.0)
-        if not probe or _converges(seq, channel_for_family(family, probe)):
+        if not probe or _converges(seq, _family_rates(family, probe)):
             try:
                 res = find_threshold(seq, family, tol)
             except NumericalError:
@@ -163,7 +163,7 @@ def final_state(root, length, bits):
 class TestProbeStates:
     @pytest.mark.parametrize("family,p", [("sixstate", 0.26), ("bb84_worst", 0.18)])
     def test_states_match_the_kernel(self, family, p):
-        root = channel_for_family(family, p)
+        root = _family_rates(family, p)
         for length in range(1, 7):
             states = _probe_states(root, length)
             assert len(states) == 4 << length
@@ -173,7 +173,7 @@ class TestProbeStates:
     @pytest.mark.parametrize("length", range(1, 7))
     def test_one_map_evaluation_per_tree_node(self, monkeypatch, length):
         maps = CountingMaps(monkeypatch)
-        _probe_states(channel_for_family("sixstate", 0.2), length)
+        _probe_states(_family_rates("sixstate", 0.2), length)
         assert maps.calls == (2 << length) - 2
 
 
@@ -205,7 +205,7 @@ class TestScreen:
 
                 patch.setattr(convergence, "find_threshold", recording)
                 optimize_sequence(family, 13)
-                roots[family] = channel_for_family(family, max(thresholds) - 2 * 1e-4)
+                roots[family] = _family_rates(family, max(thresholds) - 2 * 1e-4)
         return roots, css_calls
 
     def test_the_searches_rarely_need_a_log(self, final_probe_roots):
