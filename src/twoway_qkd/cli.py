@@ -26,7 +26,7 @@ SCHEMA_VERSION = 1
 FLOAT_DIGITS = 9
 
 # A Monte Carlo run's memory grows linearly in --n; at this cap a launch peaked
-# at 92 MB RSS for attack and 53 MB for simulate (README, "Command line").
+# at 73 MB RSS for attack and 53 MB for simulate (README, "Command line").
 _MAX_N = 10**7
 
 # CSV columns of the per-round reports, one row per round
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _write(text: str, output: str = "-") -> None:
     """Write ``text`` to the ``output`` path, or to stdout when it is ``-``."""
-    to_file = output and output != "-"
+    to_file = output != "-"
     try:
         if to_file:
             with open(output, "w", encoding="utf-8") as fh:

@@ -6,8 +6,9 @@ Two layers:
   parities, trio compression), which can only see bit errors; it carries
   only the Alice-xor-Bob error bits, and draws Alice's bits only to keep
   the seeded stream;
-* intercept-resend attack baselines for BB84 and the six-state scheme,
-  counted on error bits relative to Alice's.
+* intercept-resend attack baselines for BB84 and the six-state scheme; a
+  sifted error needs Eve in another basis than Alice's and Bob's own random
+  bit unlike Alice's, so Eve's bit is drawn only to keep the seeded stream.
 
 Randomness uses numpy's PCG64 generator (period 2^128).  Streams are split
 deterministically by seeding with ``[seed, stream_index]``: stream 0 draws
@@ -204,8 +205,13 @@ def intercept_resend(
     States are (basis, bit) pairs with the measurement-collapse rule: same
     basis reads the bit faithfully, a different basis yields a uniformly
     random bit.  ``eve_matches_basis`` is a diagnostic mode in which Eve
-    always measures in Alice's basis (no errors are introduced).  Only the
-    error bits relative to Alice's are formed, not Eve's or Bob's bits.
+    always measures in Alice's basis (no errors are introduced).
+
+    On a sifted position Bob's basis is Alice's.  If Eve's is too, she
+    resends Alice's bit and Bob reads it; otherwise Bob's basis differs from
+    Eve's and he reads his own random bit.  So a sifted error is exactly Eve
+    in another basis than Alice's and Bob's random bit unlike Alice's.  Eve's
+    random bit never reaches the report; it is drawn only to keep the stream.
     """
     import numpy as np
     if protocol not in ("bb84", "sixstate"):
@@ -215,28 +221,20 @@ def intercept_resend(
     n_bases = 2 if protocol == "bb84" else 3
     rng = _stream(seed, 0)
 
-    def bases() -> np.ndarray:  # drawn as int64, which fixes the stream, and held as int8
-        return _chunked(lambda k: rng.integers(0, n_bases, k), n, np.int8)
+    def bases() -> np.ndarray:  # drawn as int64, which fixes the stream, and held as uint8
+        return _chunked(lambda k: rng.integers(0, n_bases, k), n, np.uint8)
 
     alice_basis = bases()
     alice_bit = rng.integers(0, 2, n, dtype=np.uint8)
-    eve_basis = alice_basis if eve_matches_basis else bases()
-    # Error bits relative to Alice: Eve's random bit counts where her basis differs.
-    err = rng.integers(0, 2, n, dtype=np.uint8)
+    eve_differs = 0  # whether Eve's basis is not Alice's
+    if not eve_matches_basis:
+        eve_differs = bases()
+        np.not_equal(eve_differs, alice_basis, out=eve_differs)
+    rng.integers(0, 2, n, dtype=np.uint8)  # Eve's random bit
+    sifted_mask = np.equal(bases(), alice_basis, out=alice_basis)  # Bob's basis is Alice's
+    err = rng.integers(0, 2, n, dtype=np.uint8)  # Bob's random bit, then whether it is not Alice's
     err ^= alice_bit
-    err &= eve_basis != alice_basis
-    bob_basis = bases()
-    bob_reads_eve = bob_basis == eve_basis
-    del eve_basis
-    sifted_mask = bob_basis == alice_basis
-    del alice_basis, bob_basis
-    bob_err = rng.integers(0, 2, n, dtype=np.uint8)
-    bob_err ^= alice_bit
-    del alice_bit
-    # Bob keeps Eve's error where his basis matches hers, else his own.
-    err ^= bob_err
-    err &= bob_reads_eve
-    err ^= bob_err
+    err &= eve_differs
     sifted = int(np.count_nonzero(sifted_mask))
     err &= sifted_mask
     errors = int(np.count_nonzero(err))

@@ -490,6 +490,8 @@ USAGE_ERRORS = [
      "unrecognized arguments: --threads 2"),
     ("output", ["bounds", "--output", "{tmp}/missing/report.json"],
      "--output: [Errno 2] No such file or directory: '{tmp}/missing/report.json'"),
+    ("empty-output", ["bounds", "--output", ""],  # not stdout: that is "-"
+     "--output: [Errno 2] No such file or directory: ''"),
     ("sequence", ["threshold", "--family", "sixstate", "--sequence", "X"],
      "--sequence/--margin: invalid step token 'X' at position 0"),
     ("alt-count", ["evolve", "--family", "sixstate", "--p", "0.05", "--sequence", "alt: 1_0"],

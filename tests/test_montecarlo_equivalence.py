@@ -121,6 +121,27 @@ def reference_intercept_resend(protocol, n, seed, eve_matches_basis=False):
     )
 
 
+class _EveBitsComplemented:
+    """A generator ``rng`` with Eve's random bits complemented.
+
+    ``reference_intercept_resend`` draws three bit arrays, Alice's, Eve's and
+    Bob's in that order.  This generator complements the second and passes
+    every draw through otherwise unchanged, so every later draw is the same.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.bit_draws = 0
+
+    def integers(self, low, high, size, dtype=np.int64):
+        out = self._rng.integers(low, high, size, dtype=dtype)
+        if dtype is np.uint8:
+            self.bit_draws += 1
+            if self.bit_draws == 2:
+                out ^= 1
+        return out
+
+
 SEEDS = [0, 1, 2, 7, 12345]
 CHUNK_SIZES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
 
@@ -132,6 +153,32 @@ CHUNK_SIZES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
 def test_attack_report_matches_reference(protocol, eve_matches_basis, n, seed):
     got = intercept_resend(protocol, n, seed, eve_matches_basis=eve_matches_basis)
     want = reference_intercept_resend(protocol, n, seed, eve_matches_basis=eve_matches_basis)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 2, 7, 20000, *CHUNK_SIZES])
+@pytest.mark.parametrize("eve_matches_basis", [False, True])
+@pytest.mark.parametrize("protocol", ["bb84", "sixstate"])
+def test_attack_report_ignores_eve_bits(protocol, eve_matches_basis, n, seed, monkeypatch):
+    """Complementing Eve's random bits leaves the reference's report unchanged.
+
+    Eve reads her own random bit only where her basis differs from Alice's;
+    on a sifted position Bob's basis is Alice's, so it differs from Eve's and
+    he reads his own random bit, never hers.  This is why the package draws
+    Eve's bits only to keep the stream.
+    """
+    args = (protocol, n, seed, eve_matches_basis)
+    want = reference_intercept_resend(*args)
+    streams = []
+
+    def complemented(seed, index, stream=_stream):
+        streams.append(_EveBitsComplemented(stream(seed, index)))
+        return streams[-1]
+
+    monkeypatch.setitem(globals(), "_stream", complemented)
+    got = reference_intercept_resend(*args)
+    assert [s.bit_draws for s in streams] == [3]
     assert got == want
 
 
