@@ -3,23 +3,19 @@
 Two layers:
 
 * bit-level simulation of the prepare-and-measure protocol (announced
-  parities, trio compression), which can only see bit errors; it carries
-  only the Alice-xor-Bob error bits, and draws Alice's bits only to keep
-  the seeded stream;
+  parities, trio compression), which can only see bit errors; it draws and
+  carries only the Alice-xor-Bob error bits;
 * intercept-resend attack baselines for BB84 and the six-state scheme; a
   sifted error needs Eve in another basis than Alice's and Bob's own random
-  bit unlike Alice's, so Eve's bit is drawn only to keep the seeded stream.
+  bit unlike Alice's, so only the bases and that difference are drawn.
 
-Randomness uses numpy's PCG64 generator (period 2^128).  Streams are split
-deterministically by seeding with ``[seed, stream_index]``: stream 0 draws
-the initial population, and stream k >= 1 shuffles round k's error bits in
-place to form its random blocks.  Identical seeds give identical
-populations, pairings, and reports.
+Randomness uses one numpy PCG64 generator per call, seeded with ``seed``,
+and only what a report reads is drawn from it.  Identical seeds give
+identical populations, blocks and reports.
 
-Every population array holds one byte a sample.  Draws that return int64
-or float64 values are made ``_CHUNK`` values at a time straight into such an
-array, so no array of n int64 or float64 values is ever held; a chunked draw
-consumes its stream exactly as one whole-array call does.
+Every population array holds one byte a sample.  The error bits come from
+float64 uniforms drawn ``_CHUNK`` values at a time straight into such an
+array, so no array of n float64 values is ever held.
 
 numpy is imported inside the functions that sample, so it loads on the first
 Monte Carlo call; importing this module, as every analytic command does, does not.
@@ -28,44 +24,14 @@ Monte Carlo call; importing this module, as every analytic command does, does no
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 
 from .channel import PauliChannelParams, _Record
 from .convergence import StepSequence, evolve
 from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES
 
-# Values per draw call.  A multiple of 4: a uint8 draw takes its values four
-# to a 32-bit word and drops the rest of the word when the call ends.
+# Values per float64 draw call.  Each value takes one 64-bit word, so a
+# chunked draw consumes the stream exactly as one whole-array call does.
 _CHUNK = 2**16
-
-
-def _stream(seed: int, index: int) -> np.random.Generator:
-    import numpy as np
-    return np.random.default_rng([seed, index])
-
-
-def _chunked(draw: Callable[[int], np.ndarray], n: int, dtype: type) -> np.ndarray:
-    """``draw(n)`` cast to ``dtype``, drawn ``_CHUNK`` values at a time."""
-    import numpy as np
-    out = np.empty(n, dtype)
-    for start in range(0, n, _CHUNK):
-        chunk = out[start : start + _CHUNK]
-        chunk[...] = draw(chunk.size)
-    return out
-
-
-def _shuffled_blocks(seed: int, index: int, bits: np.ndarray, block: int) -> list[np.ndarray]:
-    """Random pairing (or trios) of ``bits``, drawn from stream ``index``.
-
-    Shuffles ``bits`` in place and returns ``block`` strided views of length
-    ``bits.size // block``: entry j of view i is member i of block j.  The
-    ``bits.size % block`` leftovers are dropped.  Fisher-Yates draws the same
-    swaps whatever the dtype, so view i holds ``bits[perm[i : block * m : block]]``
-    for ``perm = _stream(seed, index).permutation(bits.size)``.
-    """
-    _stream(seed, index).shuffle(bits)
-    m = bits.size // block
-    return [bits[i : block * m : block] for i in range(block)]
 
 
 class RoundReport(_Record):
@@ -122,14 +88,18 @@ def simulate_protocol2_bits(
 
     Alice's random bits are corrupted at the channel's bit error rate
     (qx + qy; the phase components are invisible at bit level).  B rounds
-    keep the first bit of each randomly formed pair iff the announced pair
-    parities agree; P rounds replace each random trio by its parity.  The
-    per-round disagreement rate is reported against the analytic recursion.
-    A sequence holding the EPP-only step Bx is refused before any draw.
+    keep the first bit of each pair iff the announced pair parities agree;
+    P rounds replace each trio by its parity.  The per-round disagreement
+    rate is reported against the analytic recursion.  A sequence holding
+    the EPP-only step Bx is refused before any draw.
 
-    Only the Alice-xor-Bob error bits are carried: a pair's parities agree
-    iff its two error bits do, and a trio's parity error is the parity of
-    its errors.  Alice's bits are drawn only to keep the seeded stream.
+    Only the Alice-xor-Bob error bits are drawn and carried: a pair's
+    parities agree iff its two error bits do, and a trio's parity error is
+    the parity of its errors.  Each round's blocks are adjacent items,
+    ``(block * j, ..., block * j + block - 1)``, and the leftovers are
+    dropped.  The error bits are i.i.d., and so are a B round's survivors
+    and a P round's parities over disjoint blocks, so this fixed pairing
+    gives every report the distribution of a random one.
     """
     import numpy as np
     if n < 1:
@@ -140,10 +110,11 @@ def simulate_protocol2_bits(
             "prepare-and-measure sequence"
         )
     traj = evolve(seq, channel)
-    rng = _stream(seed, 0)
-    for start in range(0, n, _CHUNK):  # Alice's bits: keep the flips' stream position
-        rng.integers(0, 2, min(_CHUNK, n - start), dtype=np.uint8)
-    err = _chunked(lambda k: rng.random(k) < channel.pz, n, np.uint8)
+    rng = np.random.default_rng(seed)
+    err = np.empty(n, np.uint8)
+    for start in range(0, n, _CHUNK):
+        chunk = err[start : start + _CHUNK]
+        chunk[...] = rng.random(chunk.size) < channel.pz
 
     rounds: list[RoundReport] = []
     for index, (kind, (qx, qy, _, _)) in enumerate(zip(seq.steps, traj.rounds), 1):
@@ -153,7 +124,8 @@ def simulate_protocol2_bits(
             import logging
             logging.getLogger(__name__).warning("population exhausted before round %d", index)
             break
-        e = _shuffled_blocks(seed, index, err, block)
+        m = size // block
+        e = [err[i : block * m : block] for i in range(block)]
         if kind is StepKind.B:
             err = e[0][e[0] == e[1]]
         else:  # P
@@ -210,8 +182,9 @@ def intercept_resend(
     On a sifted position Bob's basis is Alice's.  If Eve's is too, she
     resends Alice's bit and Bob reads it; otherwise Bob's basis differs from
     Eve's and he reads his own random bit.  So a sifted error is exactly Eve
-    in another basis than Alice's and Bob's random bit unlike Alice's.  Eve's
-    random bit never reaches the report; it is drawn only to keep the stream.
+    in another basis than Alice's and Bob's random bit unlike Alice's.  Only
+    the bases and whether Bob's random bit differs from Alice's are drawn;
+    no party's bit reaches the report, so none is drawn.
     """
     import numpy as np
     if protocol not in ("bb84", "sixstate"):
@@ -219,21 +192,18 @@ def intercept_resend(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     n_bases = 2 if protocol == "bb84" else 3
-    rng = _stream(seed, 0)
+    rng = np.random.default_rng(seed)
 
-    def bases() -> np.ndarray:  # drawn as int64, which fixes the stream, and held as uint8
-        return _chunked(lambda k: rng.integers(0, n_bases, k), n, np.uint8)
+    def bases() -> np.ndarray:
+        return rng.integers(0, n_bases, n, dtype=np.uint8)
 
     alice_basis = bases()
-    alice_bit = rng.integers(0, 2, n, dtype=np.uint8)
     eve_differs = 0  # whether Eve's basis is not Alice's
     if not eve_matches_basis:
         eve_differs = bases()
         np.not_equal(eve_differs, alice_basis, out=eve_differs)
-    rng.integers(0, 2, n, dtype=np.uint8)  # Eve's random bit
     sifted_mask = np.equal(bases(), alice_basis, out=alice_basis)  # Bob's basis is Alice's
-    err = rng.integers(0, 2, n, dtype=np.uint8)  # Bob's random bit, then whether it is not Alice's
-    err ^= alice_bit
+    err = rng.integers(0, 2, n, dtype=np.uint8)  # whether Bob's random bit is not Alice's
     err &= eve_differs
     sifted = int(np.count_nonzero(sifted_mask))
     err &= sifted_mask

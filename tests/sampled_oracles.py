@@ -5,10 +5,10 @@ B, P or Bx rounds by :func:`flag_round`; their empirical rates must track
 the closed-form maps.  It is the only sampled check of the phase and Y
 rates, which the bit-level protocol run cannot see.
 
-Random blocks come from the package's own seeded streams
-(``montecarlo._stream``): stream 0 draws the initial ensemble and stream
-k >= 1 the blocks of round k, as index columns from :func:`_random_blocks`,
-so identical seeds give identical ensembles.
+Random blocks come from seeded streams split by :func:`_stream`: stream 0
+draws the initial ensemble and stream k >= 1 the blocks of round k, as index
+columns from :func:`_random_blocks`, so identical seeds give identical
+ensembles.
 """
 
 from __future__ import annotations
@@ -20,10 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from twoway_qkd import PauliChannelParams, StepKind
-from twoway_qkd.montecarlo import _stream
 from twoway_qkd.steps import _BLOCK_SIZES
 
 logger = logging.getLogger(__name__)
+
+
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """PCG64 stream ``index`` of ``seed``."""
+    return np.random.default_rng([seed, index])
 
 
 def _random_blocks(seed: int, index: int, size: int, block: int) -> list[np.ndarray]:

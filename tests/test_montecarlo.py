@@ -22,6 +22,7 @@ from twoway_qkd import (
     simulate_protocol2_bits,
     sixstate_channel,
 )
+from twoway_qkd.montecarlo import _CHUNK
 
 
 def assert_within_5_sigma(q_hat: float, q_true: float, n: int) -> None:
@@ -276,6 +277,74 @@ class TestInterceptResend:
             intercept_resend("b92", 100, seed=0)
         with pytest.raises(ValueError, match="n >= 1"):
             intercept_resend("bb84", 0, seed=0)
+
+
+class TestBinomialLaws:
+    """Each count in a report follows its binomial law, given the count it
+    was drawn from.  Over ``SEEDS`` runs, a count's z-scores must have mean 0
+    within 4/sqrt(runs) and a spread (standard deviation) within [0.8, 1.2].
+    One run's 5-sigma check cannot see a wrong spread: error bits that
+    repeat a chunk of their draw keep every rate but widen every spread.
+
+    A count is checked when its variance is at least 1 in every run; a law
+    narrower than that cannot be standardized, and each test pins which
+    counts are checked.  A P round keeps ``n_in // 3`` by construction."""
+
+    SEEDS = range(200)
+    N = 2 * _CHUNK + 3  # the error bits span three draw calls
+
+    def check(self, counts) -> list[str]:
+        """Checks the counts ``counts(seed)`` yields as ``(name, k, n, p)``
+        and returns the names checked."""
+        z: dict[str, list[float]] = {}
+        for seed in self.SEEDS:
+            for name, k, n, p in counts(seed):
+                var = n * p * (1.0 - p)
+                if var >= 1.0:
+                    z.setdefault(name, []).append((k - n * p) / math.sqrt(var))
+        checked = sorted(name for name, zs in z.items() if len(zs) == len(self.SEEDS))
+        for name in checked:
+            zs = np.array(z[name])
+            assert abs(zs.mean()) <= 4.0 / math.sqrt(zs.size), (name, zs.mean())
+            assert 0.8 <= zs.std() <= 1.2, (name, zs.std())
+        return checked
+
+    B_FIRST = ["round 1 disagreements", "round 1 kept", "round 2 disagreements", "round 2 kept",
+               "round 3 kept"]
+
+    @pytest.mark.parametrize(
+        "channel, text, checked",
+        [
+            (bb84_family(0.15, 0.0), "BBBBBPPPPPP", B_FIRST),
+            (sixstate_channel(0.2), "BBBBB", B_FIRST),
+            (bb84_family(0.15, 0.0), "PB", ["round 1 disagreements", "round 2 disagreements",
+                                            "round 2 kept"]),
+        ],
+        ids=["bb84-BBBBBPPPPPP", "sixstate-BBBBB", "bb84-PB"],
+    )
+    def test_simulation(self, channel, text, checked):
+        seq = parse_sequence(text)
+
+        def counts(seed):
+            pz = channel.pz  # the bit error rate entering the round
+            for r in simulate_protocol2_bits(channel, seq, self.N, seed).rounds:
+                if r.kind is StepKind.B:  # a pair is kept iff its error bits agree
+                    yield f"round {r.index} kept", r.n_kept, r.n_in // 2, pz**2 + (1.0 - pz) ** 2
+                yield f"round {r.index} disagreements", r.disagreements, r.n_kept, r.rate_pred
+                pz = r.rate_pred
+
+        assert self.check(counts) == checked
+
+    @pytest.mark.parametrize(
+        "protocol, sift, rate", [("bb84", 1 / 2, 1 / 4), ("sixstate", 1 / 3, 1 / 3)], ids=["bb84", "sixstate"]
+    )
+    def test_attack(self, protocol, sift, rate):
+        def counts(seed):
+            r = intercept_resend(protocol, self.N, seed)
+            yield "sifted", r.sifted, r.n, sift
+            yield "errors", r.errors, r.sifted, rate
+
+        assert self.check(counts) == ["errors", "sifted"]
 
 
 def traced_peak(call) -> int:

@@ -1,15 +1,16 @@
-"""The Monte Carlo functions against verbatim copies of their earlier forms.
+"""The Monte Carlo functions against bit-carrying references.
 
-``intercept_resend`` and ``simulate_protocol2_bits`` compute only what their
+``intercept_resend`` and ``simulate_protocol2_bits`` draw only what their
 reports count: error bits relative to Alice instead of Alice's and Bob's
 bits side by side.  ``reference_intercept_resend`` and
-``reference_simulate_protocol2_bits`` are the bit-carrying forms they
-replaced, kept here unchanged, and every report must match theirs exactly
-for every ``(n, seed)``: same draws, same pairings, same counts.  The
-references draw each population array in one call and pair by index
-columns (``sampled_oracles._random_blocks``); the package draws ``_CHUNK``
-values at a time and shuffles the error bits in place, so the sizes below
-straddle the chunk boundaries.
+``reference_simulate_protocol2_bits`` run the full physical simulation with
+the same draws from the package's generator, plus Alice's and Eve's random
+bits from a second generator (:func:`bits_generator`) the package never
+sees.  Every report must match theirs exactly for every ``(n, seed)``, and
+must not change when those bits are complemented.  The references draw each
+population array in one call and form blocks from index columns; the
+package draws the error bits ``_CHUNK`` values at a time and takes strided
+views, so the sizes below straddle the chunk boundaries.
 """
 
 import math
@@ -17,7 +18,6 @@ import math
 import numpy as np
 import pytest
 
-from sampled_oracles import _random_blocks
 from twoway_qkd import (
     PauliChannelParams,
     ProtocolClassError,
@@ -31,15 +31,24 @@ from twoway_qkd.montecarlo import (
     Protocol2Report,
     RoundReport,
     _CHUNK,
-    _shuffled_blocks,
-    _stream,
     intercept_resend,
     simulate_protocol2_bits,
 )
 from twoway_qkd.steps import StepKind, _BLOCK_SIZES
 
 
-def reference_simulate_protocol2_bits(channel, seq, n, seed):
+def bits_generator(seed):
+    """The generator of the bits the package does not draw."""
+    return np.random.default_rng([seed, 1])
+
+
+def adjacent_blocks(size, block):
+    """Index columns of adjacent blocks: entry j of column i is ``block * j + i``."""
+    m = size // block
+    return [np.arange(i, block * m, block) for i in range(block)]
+
+
+def reference_simulate_protocol2_bits(channel, seq, n, seed, bits=None):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if any(kind is StepKind.BX for kind in seq.steps):
@@ -47,9 +56,9 @@ def reference_simulate_protocol2_bits(channel, seq, n, seed):
             "step Bx is EPP-only and cannot appear in a prepare-and-measure sequence"
         )
     traj = evolve(seq, channel)
-    rng = _stream(seed, 0)
-    alice = rng.integers(0, 2, n, dtype=np.uint8)
-    bob = alice ^ (rng.random(n) < channel.pz).astype(np.uint8)
+    bits = bits_generator(seed) if bits is None else bits
+    alice = bits.integers(0, 2, n, dtype=np.uint8)
+    bob = alice ^ (np.random.default_rng(seed).random(n) < channel.pz).astype(np.uint8)
 
     rounds = []
     for row in traj.to_rows():
@@ -57,7 +66,7 @@ def reference_simulate_protocol2_bits(channel, seq, n, seed):
         size = alice.size
         if size < _BLOCK_SIZES[kind]:
             break
-        cols = _random_blocks(seed, row["step_index"], size, _BLOCK_SIZES[kind])
+        cols = adjacent_blocks(size, _BLOCK_SIZES[kind])
         if kind is StepKind.B:
             keep = (alice[cols[0]] ^ alice[cols[1]]) == (bob[cols[0]] ^ bob[cols[1]])
             alice = alice[cols[0]][keep]
@@ -85,25 +94,28 @@ def reference_simulate_protocol2_bits(channel, seq, n, seed):
     return Protocol2Report(channel, seq, n, seed, tuple(rounds))
 
 
-def reference_intercept_resend(protocol, n, seed, eve_matches_basis=False):
+def reference_intercept_resend(protocol, n, seed, eve_matches_basis=False, bits=None):
+    """Bob's random bit is drawn as whether it differs from Alice's bit, the
+    one draw of the package that stands for a bit."""
     if protocol not in ("bb84", "sixstate"):
         raise ValueError(f"unknown protocol {protocol!r}; expected bb84 or sixstate")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     n_bases = 2 if protocol == "bb84" else 3
-    rng = _stream(seed, 0)
-    alice_basis = rng.integers(0, n_bases, n)
-    alice_bit = rng.integers(0, 2, n, dtype=np.uint8)
+    rng = np.random.default_rng(seed)
+    bits = bits_generator(seed) if bits is None else bits
+    alice_basis = rng.integers(0, n_bases, n, dtype=np.uint8)
+    alice_bit = bits.integers(0, 2, n, dtype=np.uint8)
     if eve_matches_basis:
         eve_basis = alice_basis
     else:
-        eve_basis = rng.integers(0, n_bases, n)
+        eve_basis = rng.integers(0, n_bases, n, dtype=np.uint8)
     eve_bit = np.where(
-        eve_basis == alice_basis, alice_bit, rng.integers(0, 2, n, dtype=np.uint8)
+        eve_basis == alice_basis, alice_bit, bits.integers(0, 2, n, dtype=np.uint8)
     )
-    bob_basis = rng.integers(0, n_bases, n)
+    bob_basis = rng.integers(0, n_bases, n, dtype=np.uint8)
     bob_bit = np.where(
-        bob_basis == eve_basis, eve_bit, rng.integers(0, 2, n, dtype=np.uint8)
+        bob_basis == eve_basis, eve_bit, alice_bit ^ rng.integers(0, 2, n, dtype=np.uint8)
     )
     sifted_mask = bob_basis == alice_basis
     sifted = int(np.count_nonzero(sifted_mask))
@@ -121,25 +133,19 @@ def reference_intercept_resend(protocol, n, seed, eve_matches_basis=False):
     )
 
 
-class _EveBitsComplemented:
-    """A generator ``rng`` with Eve's random bits complemented.
+class _Complemented:
+    """:func:`bits_generator` with the bit draws numbered in ``draws`` (from
+    1) complemented; every draw is made, so every later one is the same."""
 
-    ``reference_intercept_resend`` draws three bit arrays, Alice's, Eve's and
-    Bob's in that order.  This generator complements the second and passes
-    every draw through otherwise unchanged, so every later draw is the same.
-    """
-
-    def __init__(self, rng):
-        self._rng = rng
+    def __init__(self, seed, draws):
+        self._rng = bits_generator(seed)
+        self._draws = draws
         self.bit_draws = 0
 
-    def integers(self, low, high, size, dtype=np.int64):
+    def integers(self, low, high, size, dtype):
+        self.bit_draws += 1
         out = self._rng.integers(low, high, size, dtype=dtype)
-        if dtype is np.uint8:
-            self.bit_draws += 1
-            if self.bit_draws == 2:
-                out ^= 1
-        return out
+        return out ^ 1 if self.bit_draws in self._draws else out
 
 
 SEEDS = [0, 1, 2, 7, 12345]
@@ -160,26 +166,22 @@ def test_attack_report_matches_reference(protocol, eve_matches_basis, n, seed):
 @pytest.mark.parametrize("n", [1, 2, 7, 20000, *CHUNK_SIZES])
 @pytest.mark.parametrize("eve_matches_basis", [False, True])
 @pytest.mark.parametrize("protocol", ["bb84", "sixstate"])
-def test_attack_report_ignores_eve_bits(protocol, eve_matches_basis, n, seed, monkeypatch):
-    """Complementing Eve's random bits leaves the reference's report unchanged.
+def test_attack_report_ignores_eve_bits(protocol, eve_matches_basis, n, seed):
+    """Complementing Eve's random bits, or Alice's and Eve's, leaves the
+    reference's report unchanged.
 
     Eve reads her own random bit only where her basis differs from Alice's;
     on a sifted position Bob's basis is Alice's, so it differs from Eve's and
-    he reads his own random bit, never hers.  This is why the package draws
-    Eve's bits only to keep the stream.
+    he reads his own random bit, never hers.  Complementing Alice's bits
+    complements every bit Bob can read on a sifted position.  This is why the
+    package draws neither.
     """
     args = (protocol, n, seed, eve_matches_basis)
     want = reference_intercept_resend(*args)
-    streams = []
-
-    def complemented(seed, index, stream=_stream):
-        streams.append(_EveBitsComplemented(stream(seed, index)))
-        return streams[-1]
-
-    monkeypatch.setitem(globals(), "_stream", complemented)
-    got = reference_intercept_resend(*args)
-    assert [s.bit_draws for s in streams] == [3]
-    assert got == want
+    for draws in ({2}, {1, 2}):
+        bits = _Complemented(seed, draws)
+        assert reference_intercept_resend(*args, bits=bits) == want
+        assert bits.bit_draws == 2
 
 
 SIMULATIONS = {
@@ -205,16 +207,19 @@ def test_simulation_report_matches_reference(case, n, seed):
     assert got.to_dict() == want.to_dict()
 
 
-@pytest.mark.parametrize("size", [3, 4, 7, 1000, _CHUNK + 1])
-@pytest.mark.parametrize("block", [2, 3])
-def test_shuffled_blocks_match_index_columns(block, size):
-    """The in-place shuffle's strided views hold the bits the index columns pick."""
-    bits = (_stream(99, 0).random(size) < 0.4).astype(np.uint8)
-    want = [bits[c] for c in _random_blocks(5, 3, size, block)]
-    got = _shuffled_blocks(5, 3, bits.copy(), block)
-    assert len(got) == block
-    for g, w in zip(got, want):
-        assert np.array_equal(g, w)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 2, 5, 20000, *CHUNK_SIZES])
+@pytest.mark.parametrize("case", sorted(SIMULATIONS))
+def test_simulation_report_ignores_alice_bits(case, n, seed):
+    """Complementing Alice's bits leaves the reference's report unchanged:
+    it complements Bob's bits too, so no parity check or disagreement moves.
+    This is why the package draws only the error bits."""
+    channel, text = SIMULATIONS[case]
+    args = (channel, parse_sequence(text), n, seed)
+    bits = _Complemented(seed, {1})
+    got = reference_simulate_protocol2_bits(*args, bits=bits)
+    assert got.to_dict() == reference_simulate_protocol2_bits(*args).to_dict()
+    assert bits.bit_draws == 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 20000])
