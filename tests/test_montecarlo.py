@@ -367,10 +367,9 @@ class TestMemoryBudget:
     """Bytes held per sample.  Every population array is one byte a sample,
     so a temporary of n int64 or float64 values (a permutation, a whole
     basis or uniform draw) exceeds the budget wherever it is held.  The
-    attack holds at most four such arrays, so a fifth one-byte array at its
-    peak (an Eve or Bob bit or a mask kept beside the ones the count reads)
-    exceeds its budget too; ``eve_matches_basis`` draws no Eve basis and
-    takes its own path, so both modes are held to it."""
+    attack holds at most three such arrays at its peak (two bases and the
+    next basis draw); ``eve_matches_basis`` draws no Eve basis and takes its
+    own path, so both modes are held to the budget."""
 
     N = 10**6
 
