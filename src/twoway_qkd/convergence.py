@@ -455,26 +455,26 @@ def optimize_sequence(
     take the highest net key rate 0.01 below threshold (rates within 1e-12
     count as equal), then the shorter sequence, then the earlier candidate.
     Candidates provably unable to come within ``tol`` of the highest
-    threshold (they already diverge 2*tol below the best so far) are pruned,
-    and candidates whose convergence cannot be certified monotone in double
-    precision (long runs of one step kind park an error rate within one ulp
-    of 1/2) are skipped.  The prune reads whole breadth-first levels of
-    probe states, each one flat array of the maps' (qx, qy, qz, ps) grown
-    by one round from the one before and screened in one pass; after a rise
-    of the best threshold, the rest of that length is probed string by
-    string and the next length's level is built afresh.  The result is that
-    of probing every candidate from scratch.
+    threshold are pruned: those that already diverge 2*tol below the best
+    threshold of the shorter candidates.  Candidates whose convergence
+    cannot be certified monotone in double precision (long runs of one step
+    kind park an error rate within one ulp of 1/2) are skipped.  The prune
+    reads one breadth-first level of probe states per length, one flat array
+    of the maps' (qx, qy, qz, ps) grown by one round from the level before
+    (or built afresh when the root has risen) and screened in one pass.
     """
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
 
     found = []  # (seq, res) of every bisected candidate, in candidate order
-    best_threshold = None  # highest threshold so far: the prune's reference
-    probe_root = None  # raw rates at best_threshold - 2*tol, once that is above 0
-    level = viable = None  # whole level of this length's probe states at probe_root, and its screen
+    best_threshold = None  # highest threshold so far
+    probe_root = None  # raw rates at which level was built
+    level = viable = None  # this length's probe states at probe_root, and their screen
     for length in range(1, max_len + 1):
-        if probe_root is not None:
-            level = _probe_states(probe_root, length) if level is None else _next_level(level)
+        if best_threshold is not None and best_threshold - 2.0 * tol > 0.0:
+            root = _family_rates(family, best_threshold - 2.0 * tol)
+            level = _next_level(level) if root == probe_root else _probe_states(root, length)
+            probe_root = root
             viable = _screen(level, css_margin)
         for bits in range(1 << length):
             if viable is not None and not viable[bits]:
@@ -483,8 +483,6 @@ def optimize_sequence(
                 tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
                 css_margin=css_margin,
             )
-            if viable is None and probe_root is not None and not _converges(seq, probe_root):
-                continue  # the probe rose within this length: check the rest one by one
             try:
                 res = find_threshold(seq, family, tol)
             except NumericalError:
@@ -492,9 +490,6 @@ def optimize_sequence(
             found.append((seq, res))
             if best_threshold is None or res.threshold_p > best_threshold:
                 best_threshold = res.threshold_p
-                probe = max(best_threshold - 2.0 * tol, 0.0)
-                probe_root = _family_rates(family, probe) if probe > 0.0 else None
-                level = viable = None
     assert found
     near = [(seq, res) for seq, res in found if res.threshold_p >= best_threshold - tol]
     rates = [_net_rate_near_threshold(seq, family, res.threshold_p) for seq, res in near]

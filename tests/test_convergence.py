@@ -392,6 +392,12 @@ class TestOptimizeSequence:
         seq, res = optimize_sequence("bb84_worst", 12, tol=1e-3)
         assert res.threshold_p >= 0.189 - 1e-3
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "defect B, ROADMAP item 1: the false BBPBBBBBBPPPPP converges up to the bracket's top"))
+    def test_sixstate_max_len_14_threshold_lies_below_the_bracket_top(self):
+        seq, res = optimize_sequence("sixstate", 14)
+        assert res.threshold_p < BRACKET_UPPER
+
     def test_max_len_validation(self):
         with pytest.raises(ValueError, match="max_len"):
             optimize_sequence("sixstate", 17)

@@ -380,7 +380,7 @@ class TestMemoryBudget:
     )
     def test_attack(self, protocol, eve_matches_basis):
         args = (protocol, self.N, 4, eve_matches_basis)
-        assert traced_peak(lambda: intercept_resend(*args)) <= 5 * self.N
+        assert traced_peak(lambda: intercept_resend(*args)) <= 4 * self.N
 
     @pytest.mark.parametrize("text", ["BBBBBPPPPPP", "PB"])
     def test_simulation(self, text):

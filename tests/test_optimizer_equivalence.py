@@ -1,11 +1,12 @@
 """The level-sweep optimizer against a per-candidate reference search.
 
-``optimize_sequence`` reads its prune verdicts from whole breadth-first
-levels of probe states (``_probe_states``), grown by one round per length;
-after a rise of the best threshold it probes the rest of that length string
-by string and builds the next length's level afresh.
-``reference_optimize`` probes every candidate from scratch and picks its
-winner by the documented rule, written out on its own.
+``optimize_sequence`` screens each length once, on one breadth-first level
+of probe states (``_probe_states``) at the best threshold of the shorter
+candidates, grown by one round from the level before while that root holds.
+``reference_optimize`` probes every candidate from scratch at the same
+threshold and picks its winner by the documented rule, written out on its
+own.  With ``best_so_far=True`` it probes at the best threshold so far
+instead, the rule the prune followed before it read one root per length.
 """
 
 import pytest
@@ -26,40 +27,41 @@ from twoway_qkd.convergence import (
 from twoway_qkd.keyrates import NumericalError
 
 
-def reference_optimize(family, max_len, tol=1e-4, css_margin=DEFAULT_CSS_MARGIN):
+def reference_optimize(family, max_len, tol=1e-4, css_margin=DEFAULT_CSS_MARGIN, best_so_far=False):
     """Per-candidate search: every prune probe re-applies all the rounds.
 
     Same candidate order, prune and bisection as ``optimize_sequence``, with
-    no state shared between candidates.  The winner is then picked by the
-    documented rule: among the candidates within ``tol`` of the highest
-    threshold, the highest net rate (within 1e-12), then the shortest
-    sequence, then the earliest candidate.
+    no state shared between candidates.  A candidate is probed 2*tol below
+    the best threshold of the shorter candidates, or below the best one so
+    far with ``best_so_far``.  The winner is then picked by the documented
+    rule: among the candidates within ``tol`` of the highest threshold, the
+    highest net rate (within 1e-12), then the shortest sequence, then the
+    earliest candidate.
     """
-    candidates = [
-        StepSequence.fixed(
-            tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
-            css_margin=css_margin,
-        )
-        for length in range(1, max_len + 1)
-        for bits in range(1 << length)
-    ]
     best_threshold = None
-    results = []
-    for seq in candidates:
-        res = None
-        probe = None if best_threshold is None else max(best_threshold - 2.0 * tol, 0.0)
-        if not probe or _converges(seq, _family_rates(family, probe)):
-            try:
-                res = find_threshold(seq, family, tol)
-            except NumericalError:
-                pass
-        results.append(res)
-        if res is not None and (best_threshold is None or res.threshold_p > best_threshold):
-            best_threshold = res.threshold_p
+    results = []  # (seq, res) of every candidate, res None where not bisected
+    for length in range(1, max_len + 1):
+        shorter_best = best_threshold
+        for bits in range(1 << length):
+            seq = StepSequence.fixed(
+                tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
+                css_margin=css_margin,
+            )
+            res = None
+            reference = best_threshold if best_so_far else shorter_best
+            probe = None if reference is None else max(reference - 2.0 * tol, 0.0)
+            if not probe or _converges(seq, _family_rates(family, probe)):
+                try:
+                    res = find_threshold(seq, family, tol)
+                except NumericalError:
+                    pass
+            results.append((seq, res))
+            if res is not None and (best_threshold is None or res.threshold_p > best_threshold):
+                best_threshold = res.threshold_p
 
     near = [
         (index, seq, res, _net_rate_near_threshold(seq, family, res.threshold_p))
-        for index, (seq, res) in enumerate(zip(candidates, results))
+        for index, (seq, res) in enumerate(results)
         if res is not None and res.threshold_p >= best_threshold - tol
     ]
     best_rate = max(rate for _, _, _, rate in near)
@@ -79,13 +81,15 @@ def as_sequence(length, bits):
     return StepSequence.fixed("".join("P" if (bits >> i) & 1 else "B" for i in range(length)))
 
 
-@pytest.mark.parametrize("max_len", range(1, 11))
+@pytest.mark.parametrize("max_len", range(1, 13))
 @pytest.mark.parametrize("tol", [1e-3, 1e-4])
 @pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
 def test_identical_to_reference(family, tol, max_len):
-    assert summary(optimize_sequence(family, max_len, tol=tol)) == summary(
-        reference_optimize(family, max_len, tol=tol)
-    )
+    # Both probe rules agree here: a root at the running best prunes no
+    # candidate that could come within tol of the highest threshold.
+    found = summary(optimize_sequence(family, max_len, tol=tol))
+    assert found == summary(reference_optimize(family, max_len, tol=tol))
+    assert found == summary(reference_optimize(family, max_len, tol=tol, best_so_far=True))
 
 
 @pytest.mark.parametrize("max_len", range(1, 9))
@@ -101,18 +105,27 @@ def test_identical_to_reference_at_coarse_tol(family, tol, max_len):
 
 @pytest.mark.parametrize("family", ["bb84_worst", "sixstate"])
 def test_identical_to_reference_past_a_mid_length_rise(family):
-    # bb84_worst: the probe rises twice late in length 13 (bits 8008 and
-    # 8072), so the rest of that length is probed string by string and
-    # length 14 starts from a fresh level.  sixstate: the probe rises late in
-    # length 14, at BBPBBBBBBPPPPP.
+    # bb84_worst: the best threshold rises late in length 13 (at
+    # BBBPBBPBPPPPP) and twice in length 14, so length 14 is screened on a
+    # level built afresh.  sixstate: it rises late in length 14, at
+    # BBPBBBBBBPPPPP.
     assert summary(optimize_sequence(family, 14)) == summary(reference_optimize(family, 14))
+
+
+def test_the_probe_rules_part_at_bb84_max_len_13():
+    # Defect B (ROADMAP item 1): the false BBBPBBBPPPPPP diverges at the
+    # root of length 13 but converges at the running best's, so only the
+    # best-so-far rule bisects it.
+    found = optimize_sequence("bb84_worst", 13)
+    assert summary(found) == summary(reference_optimize("bb84_worst", 13))
+    assert str(found[0]) == "BBBBB"
+    assert str(reference_optimize("bb84_worst", 13, best_so_far=True)[0]) == "BBBPBBBPPPPPP"
 
 
 @pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
 def test_bisects_the_candidates_the_reference_does(monkeypatch, family):
-    # The probe rises at bits 0 of lengths 1-6 (sixstate) and 1-5
-    # (bb84_worst), so the rest of each of those lengths is pruned string by
-    # string rather than from a level.
+    # The best threshold rises at bits 0 of lengths 1-6 (sixstate) and 1-5
+    # (bb84_worst), so each next length's level is built afresh.
     bisected = {"optimizer": [], "reference": []}
 
     def recorder(name, bisect=find_threshold):
@@ -186,7 +199,7 @@ class TestScreen:
 
     @pytest.fixture(scope="class")
     def final_probe_roots(self):
-        """Probe root at the end of each family's max_len=13 search, and its CSS evaluations."""
+        """Last root each family's max_len=13 search builds a level at, and its CSS evaluations."""
         roots, css_calls = {}, 0
         with pytest.MonkeyPatch.context() as patch:
             def counted(f1, f2):
@@ -196,16 +209,12 @@ class TestScreen:
 
             patch.setattr(convergence, "css_key_fraction", counted)
             for family in ("sixstate", "bb84_worst"):
-                thresholds = []
+                def recording(root, length, build=_probe_states):
+                    roots[family] = root
+                    return build(root, length)
 
-                def recording(seq, fam, tol, bisect=find_threshold):
-                    res = bisect(seq, fam, tol)
-                    thresholds.append(res.threshold_p)
-                    return res
-
-                patch.setattr(convergence, "find_threshold", recording)
+                patch.setattr(convergence, "_probe_states", recording)
                 optimize_sequence(family, 13)
-                roots[family] = _family_rates(family, max(thresholds) - 2 * 1e-4)
         return roots, css_calls
 
     def test_the_searches_rarely_need_a_log(self, final_probe_roots):
