@@ -48,8 +48,8 @@ def reference_optimize(family, max_len, tol=1e-4, css_margin=DEFAULT_CSS_MARGIN,
                 css_margin=css_margin,
             )
             res = None
-            reference = best_threshold if best_so_far else shorter_best
-            probe = None if reference is None else max(reference - 2.0 * tol, 0.0)
+            anchor = best_threshold if best_so_far else shorter_best
+            probe = None if anchor is None else max(anchor - 2.0 * tol, 0.0)
             if not probe or _converges(seq, _family_rates(family, probe)):
                 try:
                     res = find_threshold(seq, family, tol)
