@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator
-from itertools import accumulate, chain, cycle, islice, repeat
+from itertools import accumulate, compress, cycle, islice, repeat, starmap
 from math import isfinite, prod
 from operator import itemgetter, mul, truediv
+from struct import Struct
 
 from .channel import PauliChannelParams, _Record, bb84_family, sixstate_channel
 from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
@@ -46,6 +47,8 @@ MAX_ROUNDS = 10_000
 
 _survival = itemgetter(3)  # ps of a round's (qx, qy, qz, ps)
 _block_size = _BLOCK_SIZES.__getitem__
+_WIDTH = 4  # floats per probe state, (qx, qy, qz, ps) as a step map returns it
+_STATE = Struct(f"{_WIDTH}d")  # native doubles, as in array("d"): packing copies every bit
 
 
 def css_key_fraction(f1: float, f2: float) -> float:
@@ -414,18 +417,22 @@ def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -
 
 
 def _next_level(shorter: array) -> array:
-    """States one round on from ``shorter``: B applied to every state, then P to every state."""
+    """States one round on from ``shorter``: B applied to every state, then P to every state.
+
+    Each map's tuples go in packed by ``_STATE``, 1,024 states a chunk (memory stays flat).
+    """
     out = array("d")
     states = memoryview(shorter)  # strided views: no column copies
-    rates = states[0::4], states[1::4], states[2::4]
-    for kind in (StepKind.B, StepKind.P):
-        step = _RATE_FUNCS[kind]  # looked up per call: maps substituted by tests or a tracer apply
-        out.extend(chain.from_iterable(map(step, *rates)))
+    rates = [states[i::_WIDTH] for i in range(3)]  # qx, qy, qz
+    for kind in (StepKind.B, StepKind.P):  # maps looked up per call, so substitutes apply
+        packed = starmap(_STATE.pack, map(_RATE_FUNCS[kind], *rates))
+        while chunk := b"".join(islice(packed, 1024)):
+            out.frombytes(chunk)
     return out
 
 
 def _probe_states(root: tuple[float, float, float], length: int) -> array:
-    """Flat (qx, qy, qz, ps) of every length-``length`` B/P string, ``bits`` at index ``4 * bits``.
+    """Flat (qx, qy, qz, ps) of every length-``length`` B/P string, ``bits`` at ``_WIDTH * bits``.
 
     ``root`` is the raw ``(qx, qy, qz)`` the strings start from.
     """
@@ -437,8 +444,8 @@ def _probe_states(root: tuple[float, float, float], length: int) -> array:
 
 def _screen(level: array, margin: float) -> list[bool]:
     """CSS verdict of each (qx, qy, qz, ps) state of ``level``, in one pass."""
-    states = memoryview(level)
-    return list(map(_css_viable, states[0::4], states[1::4], states[2::4], repeat(margin)))
+    states = memoryview(level)  # strided views, as in _next_level
+    return list(map(_css_viable, *(states[i::_WIDTH] for i in range(3)), repeat(margin)))
 
 
 def optimize_sequence(
@@ -459,9 +466,9 @@ def optimize_sequence(
     threshold of the shorter candidates.  Candidates whose convergence
     cannot be certified monotone in double precision (long runs of one step
     kind park an error rate within one ulp of 1/2) are skipped.  The prune
-    reads one breadth-first level of probe states per length, one flat array
-    of the maps' (qx, qy, qz, ps) grown by one round from the level before
-    (or built afresh when the root has risen) and screened in one pass.
+    screens one breadth-first level of probe states per length in one pass
+    (the maps' packed (qx, qy, qz, ps), grown from the level before or rebuilt
+    when the root has risen), and the loop visits only the screened-in ones.
     """
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
@@ -476,9 +483,7 @@ def optimize_sequence(
             level = _next_level(level) if root == probe_root else _probe_states(root, length)
             probe_root = root
             viable = _screen(level, css_margin)
-        for bits in range(1 << length):
-            if viable is not None and not viable[bits]:
-                continue
+        for bits in range(1 << length) if viable is None else compress(range(1 << length), viable):
             seq = StepSequence.fixed(
                 tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
                 css_margin=css_margin,

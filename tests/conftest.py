@@ -1,5 +1,6 @@
-"""Shared sampling, counting, single-round and worst-case helpers for the test suite."""
+"""Shared sampling, counting, memory, single-round and worst-case helpers for the test suite."""
 
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -22,6 +23,22 @@ def random_channels(n: int, seed: int, scale: float = 1.0) -> list[PauliChannelP
     rng = np.random.default_rng(seed)
     draws = rng.dirichlet([1.0, 1.0, 1.0, 1.0], size=n) * scale
     return [PauliChannelParams(q[0], q[1], q[2]) for q in draws]
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs, above those traced before it.
+
+    numpy reports its array buffers to tracemalloc, so this counts them.  A
+    first, untraced call loads what loads lazily, such as ``numpy.random``.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class CountingMaps:

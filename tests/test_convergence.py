@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -418,6 +419,22 @@ class TestWorstCaseScan:
     def test_alternating_policy_is_accepted(self):
         flags = worst_case_flags(StepSequence.alternating(200), 0.15, 5)
         assert not flags[0] or all(flags)
+
+    def test_a_zero_is_the_worst_case_of_long_b_runs_in_closed_form(self):
+        """B x k converges for large k iff max(|lx + ly|, |lx - ly|)**2 > 1 - lz**2 (ROADMAP
+        item 3). On (p - a, a, p - a), lz = lx = 1 - 2p and lx + ly = 2 - 6p + 4a, which for
+        p < 1/4 exceeds |lx - ly| = |2p - 4a| <= 2p; so the left side grows with a and the
+        right side does not. Exact arithmetic, on p = 1/80 ... 19/80 (1/5 included) and
+        a = 0, p/10, ..., p."""
+        for p in (Fraction(i, 80) for i in range(1, 20)):
+            excess = []  # max(...)**2 - (1 - lz**2), in order of a
+            for a in (p * j / 10 for j in range(11)):
+                qx, qy, qz = p - a, a, p - a
+                lz, lx, ly = 1 - 2 * (qx + qy), 1 - 2 * (qy + qz), 1 - 2 * (qx + qz)
+                assert lz == lx == 1 - 2 * p and lx + ly == 2 - 6 * p + 4 * a
+                excess.append(max(abs(lx + ly), abs(lx - ly)) ** 2 - (1 - lz**2))
+            assert excess == sorted(excess), p
+            assert (excess[0] > 0) == (p < Fraction(1, 5)), p  # the limit 1/5 at a = 0
 
 
 class TestFamilyRates:

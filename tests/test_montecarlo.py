@@ -3,12 +3,11 @@
 import hashlib
 import logging
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import CountingMaps, one_round, random_channels
+from conftest import CountingMaps, one_round, random_channels, traced_peak
 from sampled_oracles import FlagEnsemble, estimate_rates, flag_round, sample_flags
 from twoway_qkd import (
     PauliChannelParams,
@@ -345,22 +344,6 @@ class TestBinomialLaws:
             yield "errors", r.errors, r.sifted, rate
 
         assert self.check(counts) == ["errors", "sifted"]
-
-
-def traced_peak(call) -> int:
-    """Peak bytes traced while ``call()`` runs, above those traced before it.
-
-    numpy reports its array buffers to tracemalloc, so this counts them.  A
-    first, untraced call loads what loads lazily, such as ``numpy.random``.
-    """
-    call()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemoryBudget:

@@ -9,12 +9,16 @@ own.  With ``best_so_far=True`` it probes at the best threshold so far
 instead, the rule the prune followed before it read one root per length.
 """
 
+from array import array
+from itertools import chain
+
 import pytest
-from conftest import CountingMaps
+from conftest import CountingMaps, traced_peak
 
 from twoway_qkd import StepKind, StepSequence, convergence, find_threshold, optimize_sequence
 from twoway_qkd.convergence import (
     DEFAULT_CSS_MARGIN,
+    _WIDTH,
     _converges,
     _evolve_rounds,
     _family_rates,
@@ -25,6 +29,7 @@ from twoway_qkd.convergence import (
     css_key_fraction,
 )
 from twoway_qkd.keyrates import NumericalError
+from twoway_qkd.steps import _RATE_FUNCS
 
 
 def reference_optimize(family, max_len, tol=1e-4, css_margin=DEFAULT_CSS_MARGIN, best_so_far=False):
@@ -173,6 +178,16 @@ def final_state(root, length, bits):
     return rounds[-1]
 
 
+def reference_next_level(shorter):
+    """``_next_level`` built float by float: each map's tuples flattened into ``array.extend``."""
+    out = array("d")
+    states = memoryview(shorter)
+    rates = states[0::_WIDTH], states[1::_WIDTH], states[2::_WIDTH]
+    for kind in (StepKind.B, StepKind.P):
+        out.extend(chain.from_iterable(map(_RATE_FUNCS[kind], *rates)))
+    return out
+
+
 class TestProbeStates:
     @pytest.mark.parametrize("family,p", [("sixstate", 0.26), ("bb84_worst", 0.18)])
     def test_states_match_the_kernel(self, family, p):
@@ -182,6 +197,28 @@ class TestProbeStates:
             assert len(states) == 4 << length
             for bits in range(1 << length):
                 assert tuple(states[4 * bits : 4 * bits + 4]) == final_state(root, length, bits)
+
+    @pytest.mark.parametrize(
+        "family,p",
+        [("sixstate", 0.2), ("sixstate", 0.27), ("bb84_worst", 0.15), ("bb84_worst", 0.19)],
+    )
+    def test_levels_across_chunks_match_the_reference(self, family, p):
+        """Lengths 10-13 pack each kind's 512, 1,024, 2,048 and 4,096 states: one
+        partial chunk, one whole chunk and several chunks, each to the byte."""
+        root = _family_rates(family, p)
+        level = _probe_states(root, 0)
+        for length in range(1, 14):
+            level = reference_next_level(level)
+            if length >= 10:
+                assert _probe_states(root, length).tobytes() == level.tobytes(), length
+
+    def test_a_level_build_holds_little_beside_its_output(self):
+        """A 2**15-state level peaks at most 1.25 times its own bytes: packed
+        chunks are appended as they are made, never joined into one whole level."""
+        shorter = _probe_states(_family_rates("sixstate", 0.2), 14)
+        level_bytes = (_WIDTH << 15) * array("d").itemsize
+        assert len(_next_level(shorter)) * array("d").itemsize == level_bytes
+        assert traced_peak(lambda: _next_level(shorter)) <= 1.25 * level_bytes
 
     @pytest.mark.parametrize("length", range(1, 7))
     def test_one_map_evaluation_per_tree_node(self, monkeypatch, length):
