@@ -17,7 +17,7 @@ from math import isfinite, prod
 from operator import itemgetter, mul, truediv
 from struct import Struct
 
-from .channel import PauliChannelParams, _Record, bb84_family, sixstate_channel
+from .channel import PauliChannelParams, _Record
 from .keyrates import NumericalError, _bisect, binary_entropy, one_minus_binary_entropy
 from .keyrates import two_way_net_rate
 from .steps import StepKind, _BLOCK_SIZES, _RATE_FUNCS
@@ -180,9 +180,9 @@ class Trajectory(_Record):
 
     ``rounds`` holds one ``(qx, qy, qz, ps)`` tuple per round of the
     sequence that ran.  A diverged alternating run that stopped at a
-    repeated state holds all ``max_rounds`` rounds; those past the repeat
-    are copies of the last two or four computed ones, one period of the
-    cycle.  These tuples are the trajectory's only per-round data: the
+    repeated state holds all ``max_rounds`` rounds; at that exit the kernel
+    pads them with copies of one period of the cycle, the last two or four
+    computed.  These tuples are the trajectory's only per-round data: the
     final rates, the CSS rate and the rows of :meth:`to_rows` are all read
     from them, and no channel is built per round.  A round keeps
     ``ps / block size`` of its pairs; the rows' running yields and
@@ -264,7 +264,7 @@ def _evolve_rounds(
     state after round i - 2, or else that after round i - 4: both states
     have failed the CSS test, and the maps are deterministic and the step
     kinds alternate with period 2, so the rounds after i repeat the last two
-    (or four) for good.
+    (or four) for good.  ``rounds`` is padded there, to every step, with copies of them.
     """
     margin = seq.css_margin
     qx, qy, qz = rates
@@ -282,6 +282,9 @@ def _evolve_rounds(
         if alternating:
             state = (qx, qy, qz)
             if state == s2 or state == s4:
+                if rounds is not None:
+                    period = rounds[-2:] if state == s2 else rounds[-4:]
+                    rounds += islice(cycle(period), len(seq.steps) - len(rounds))
                 return False
             if _css_viable(qx, qy, qz, margin):
                 return True
@@ -294,14 +297,11 @@ def evolve(seq: StepSequence, c: PauliChannelParams) -> Trajectory:
 
     An alternating run that never reaches CSS viability is non-converged
     with the diagnostic ``no CSS viability within N rounds`` and holds all
-    N rounds; those past a repeated state are copies (see :class:`Trajectory`).
+    N rounds; those past a repeated state are the kernel's copies (see :class:`Trajectory`).
     """
     rounds: list[tuple[float, float, float, float]] = []
     converged = _evolve_rounds(seq, (c.qx, c.qy, c.qz), rounds)
     diverged = seq.policy == ALTERNATING and not converged
-    if diverged and len(rounds) < seq.max_rounds:  # stopped at a repeat, after round 3 or later
-        period = 2 if rounds[-1][:3] == rounds[-3][:3] else 4
-        rounds += islice(cycle(rounds[-period:]), seq.max_rounds - len(rounds))
     return Trajectory(
         initial=c,
         sequence=seq,
@@ -319,31 +319,23 @@ def _converges(seq: StepSequence, rates: tuple[float, float, float]) -> bool:
     return _evolve_rounds(seq, rates)
 
 
-def _unknown_family(family: str) -> ValueError:
-    return ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def channel_for_family(family: str, p: float) -> PauliChannelParams:
-    """Starting channel of a one-parameter family at bit error rate ``p``."""
-    if family == "bb84_worst":
-        return bb84_family(p, 0.0)
-    if family == "sixstate":
-        return sixstate_channel(p)
-    raise _unknown_family(family)
-
-
 def _family_rates(family: str, p: float) -> tuple[float, float, float]:
-    """Raw ``(qx, qy, qz)`` of ``channel_for_family(family, p)``, with no channel built.
+    """Raw ``(qx, qy, qz)`` of a one-parameter family at bit error rate ``p``.
 
-    For every p in [0, 1/2] the rates equal the channel's bit for bit; ``p``
-    itself is not validated.
+    The one family dispatch: BB84's worst case (p, 0, p) or six-state's
+    (p/2, p/2, p/2).  No channel is built and ``p`` is not validated.
     """
     if family == "bb84_worst":
         return p, 0.0, p
     if family == "sixstate":
         q = 0.5 * p
         return q, q, q
-    raise _unknown_family(family)
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+
+
+def channel_for_family(family: str, p: float) -> PauliChannelParams:
+    """Starting channel of a family at ``p``: :func:`_family_rates`, validated."""
+    return PauliChannelParams(*_family_rates(family, p))
 
 
 class ThresholdResult(_Record):
@@ -410,10 +402,10 @@ def find_threshold(seq: StepSequence, family: str, tol: float = 1e-4) -> Thresho
     return ThresholdResult(0.5 * (lo + hi), (lo, hi), seq, family)
 
 
-def _net_rate_near_threshold(seq: StepSequence, family: str, threshold: float) -> float:
-    """Tie-breaking figure: net key rate 0.01 below the threshold."""
-    p = max(threshold - 0.01, 0.0)
-    return two_way_net_rate(evolve(seq, channel_for_family(family, p))).rate or 0.0
+def _net_rate_near_threshold(res: ThresholdResult) -> float:
+    """Tie-breaking figure: net key rate of ``res``'s sequence 0.01 below its threshold."""
+    p = max(res.threshold_p - 0.01, 0.0)
+    return two_way_net_rate(evolve(res.sequence, channel_for_family(res.family, p))).rate or 0.0
 
 
 def _next_level(shorter: array) -> array:
@@ -473,17 +465,17 @@ def optimize_sequence(
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
 
-    found = []  # (seq, res) of every bisected candidate, in candidate order
+    found = []  # result of every bisected candidate, in candidate order
     best_threshold = None  # highest threshold so far
-    probe_root = None  # raw rates at which level was built
-    level = viable = None  # this length's probe states at probe_root, and their screen
+    probe_root = level = None  # raw rates at which level was built, and this length's probe states
+    viable = repeat(True)  # the screen of level: every candidate until there is a root
     for length in range(1, max_len + 1):
         if best_threshold is not None and best_threshold - 2.0 * tol > 0.0:
             root = _family_rates(family, best_threshold - 2.0 * tol)
             level = _next_level(level) if root == probe_root else _probe_states(root, length)
             probe_root = root
             viable = _screen(level, css_margin)
-        for bits in range(1 << length) if viable is None else compress(range(1 << length), viable):
+        for bits in compress(range(1 << length), viable):
             seq = StepSequence.fixed(
                 tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
                 css_margin=css_margin,
@@ -492,12 +484,12 @@ def optimize_sequence(
                 res = find_threshold(seq, family, tol)
             except NumericalError:
                 continue
-            found.append((seq, res))
+            found.append(res)
             if best_threshold is None or res.threshold_p > best_threshold:
                 best_threshold = res.threshold_p
     assert found
-    near = [(seq, res) for seq, res in found if res.threshold_p >= best_threshold - tol]
-    rates = [_net_rate_near_threshold(seq, family, res.threshold_p) for seq, res in near]
+    near = [res for res in found if res.threshold_p >= best_threshold - tol]
+    rates = [_net_rate_near_threshold(res) for res in near]
     top = max(rates)
-    tied = [pair for pair, rate in zip(near, rates) if rate >= top - 1e-12]
-    return min(tied, key=lambda pair: len(pair[0].steps))  # the first of the shortest
+    best = next(res for res, rate in zip(near, rates) if rate >= top - 1e-12)  # shortest: lengths ascend
+    return best.sequence, best

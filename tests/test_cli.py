@@ -729,3 +729,22 @@ class TestPlumbing:
     def test_no_subcommand_exits_1(self, capsys):
         code, _, err = run_capture(capsys, [])
         assert code == 1
+
+
+class TestDeterminismAcrossProcesses:
+    """Fresh interpreters with different string-hash seeds print the same bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--family", "bb84", "--max-len", "8"],
+        ["evolve", "--family", "bb84", "--p", "0.2", "--sequence", "alt:200", "--format", "csv"],
+        ["simulate", "--family", "sixstate", "--p", "0.2", "--sequence", "BBBBB", "--n", "20000",
+         "--seed", "4"],
+    ], ids=["optimize", "evolve", "simulate"])
+    def test_stdout_bytes_do_not_depend_on_the_hash_seed(self, monkeypatch, argv):
+        outs = []
+        for seed in ("0", "1"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)
+            proc = _cli_process(["-m", "twoway_qkd.cli", *argv], stdout=subprocess.PIPE)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] and outs[0] == outs[1]

@@ -442,7 +442,8 @@ class TestFamilyRates:
 
     @staticmethod
     def assert_channel_rates(family, p):
-        c = channel_for_family(family, p)
+        # the channel package's own builders, not channel_for_family, which reads _family_rates
+        c = bb84_family(p, 0.0) if family == "bb84_worst" else sixstate_channel(p)
         # repr tells apart floats that compare equal, such as 0.0 and -0.0
         assert repr(_family_rates(family, p)) == repr((c.qx, c.qy, c.qz)), (family, p)
 
@@ -492,3 +493,13 @@ def test_channel_for_family():
     assert channel_for_family("sixstate", 0.2) == sixstate_channel(0.2)
     with pytest.raises(ValueError):
         channel_for_family("other", 0.2)
+
+
+@pytest.mark.parametrize("family, top, beyond", [("bb84_worst", 0.5, 0.6), ("sixstate", 2 / 3, 0.7)])
+def test_channel_for_family_range(family, top, beyond):
+    """The channel is validated on the ranges of bb84_family and sixstate_channel."""
+    for p in (-0.1, math.nan, math.inf, beyond):
+        with pytest.raises(ValueError):
+            channel_for_family(family, p)
+    assert channel_for_family(family, top).pz == top
+    assert channel_for_family(family, 0.0) == PauliChannelParams(0.0, 0.0, 0.0)

@@ -65,7 +65,7 @@ def reference_optimize(family, max_len, tol=1e-4, css_margin=DEFAULT_CSS_MARGIN,
                 best_threshold = res.threshold_p
 
     near = [
-        (index, seq, res, _net_rate_near_threshold(seq, family, res.threshold_p))
+        (index, seq, res, _net_rate_near_threshold(res))
         for index, (seq, res) in enumerate(results)
         if res is not None and res.threshold_p >= best_threshold - tol
     ]
