@@ -15,7 +15,12 @@ identical populations, blocks and reports.
 
 Every population array holds one byte a sample.  The error bits come from
 float64 uniforms drawn ``_CHUNK`` values at a time straight into such an
-array, so no array of n float64 values is ever held.
+array, so no array of n float64 values is ever held.  A fair bit is the top
+bit of a random byte from ``rng.bytes``: the value and stream use of
+``rng.integers(0, 2, dtype=np.uint8)``, whose bounded method returns that
+top bit.  A B round compacts its survivors into the front of the
+population buffer ``_CHUNK`` pairs at a time, so no index array over the
+whole round is held.
 
 numpy is imported inside the functions that sample, so it loads on the first
 Monte Carlo call; importing this module, as every analytic command does, does not.
@@ -29,9 +34,20 @@ from .channel import PauliChannelParams, _Record
 from .convergence import StepSequence, evolve
 from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES
 
-# Values per float64 draw call.  Each value takes one 64-bit word, so a
-# chunked draw consumes the stream exactly as one whole-array call does.
+# Values per draw call.  A float64 takes one 64-bit word, and a multiple of 4
+# fair bits takes whole 32-bit words, so a chunked draw consumes the stream
+# exactly as one whole-array call does.
 _CHUNK = 2**16
+
+
+def _fair_bits(rng, n: int):
+    """``rng.integers(0, 2, n, dtype=np.uint8)``, values and stream position."""
+    import numpy as np
+    out = np.empty(n, np.uint8)
+    for start in range(0, n, _CHUNK):
+        byte = np.frombuffer(rng.bytes(min(_CHUNK, n - start)), np.uint8)
+        np.right_shift(byte, 7, out=out[start : start + _CHUNK])
+    return out
 
 
 class RoundReport(_Record):
@@ -113,8 +129,7 @@ def simulate_protocol2_bits(
     rng = np.random.default_rng(seed)
     err = np.empty(n, np.uint8)
     for start in range(0, n, _CHUNK):
-        chunk = err[start : start + _CHUNK]
-        chunk[...] = rng.random(chunk.size) < channel.pz
+        np.less(rng.random(min(_CHUNK, n - start)), channel.pz, out=err[start : start + _CHUNK])
 
     rounds: list[RoundReport] = []
     for index, (kind, (qx, qy, _, _)) in enumerate(zip(seq.steps, traj.rounds), 1):
@@ -127,7 +142,13 @@ def simulate_protocol2_bits(
         m = size // block
         e = [err[i : block * m : block] for i in range(block)]
         if kind is StepKind.B:
-            err = e[0][e[0] == e[1]]
+            kept = 0  # survivors so far, written over pairs already read
+            for start in range(0, m, _CHUNK):
+                first = e[0][start : start + _CHUNK]
+                survivors = np.compress(first == e[1][start : start + _CHUNK], first)
+                err[kept : kept + survivors.size] = survivors
+                kept += survivors.size
+            err = err[:kept]
         else:  # P
             err = e[0] ^ e[1] ^ e[2]
         n_kept = int(err.size)
@@ -195,7 +216,8 @@ def intercept_resend(
     rng = np.random.default_rng(seed)
 
     def bases() -> np.ndarray:
-        return rng.integers(0, n_bases, n, dtype=np.uint8)
+        # a range of 3 redraws a zero byte, so six-state bases stay with integers
+        return _fair_bits(rng, n) if n_bases == 2 else rng.integers(0, 3, n, dtype=np.uint8)
 
     alice_basis = bases()
     eve_differs = 0  # whether Eve's basis is not Alice's
@@ -203,7 +225,7 @@ def intercept_resend(
         eve_differs = bases()
         np.not_equal(eve_differs, alice_basis, out=eve_differs)
     sifted_mask = np.equal(bases(), alice_basis, out=alice_basis)  # Bob's basis is Alice's
-    err = rng.integers(0, 2, n, dtype=np.uint8)  # whether Bob's random bit is not Alice's
+    err = _fair_bits(rng, n)  # whether Bob's random bit is not Alice's
     err &= eve_differs
     sifted = int(np.count_nonzero(sifted_mask))
     err &= sifted_mask

@@ -21,7 +21,7 @@ from twoway_qkd import (
     simulate_protocol2_bits,
     sixstate_channel,
 )
-from twoway_qkd.montecarlo import _CHUNK
+from twoway_qkd.montecarlo import _CHUNK, _fair_bits
 
 
 def assert_within_5_sigma(q_hat: float, q_true: float, n: int) -> None:
@@ -250,6 +250,23 @@ class TestProtocol2Bits:
         assert abs(rep.rounds[0].n_kept / n - 0.5 * ps) <= 5 * sigma
 
 
+class TestFairBits:
+    """A fair bit is the top bit of a random byte: the values of
+    ``integers(0, 2, n, dtype=np.uint8)``, and the generator left where that
+    call leaves it, so every report keeps its bytes."""
+
+    @pytest.mark.parametrize("n", [*range(1, 10), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
+    def test_matches_integers(self, seed, n):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        bits = _fair_bits(ours, n)
+        assert bits.dtype == np.uint8
+        assert np.array_equal(bits, ref.integers(0, 2, n, dtype=np.uint8))
+        # the state holds PCG64's half-used 64-bit word, which random() skips
+        assert ours.bit_generator.state == ref.bit_generator.state
+        assert ours.random() == ref.random()
+
+
 class TestInterceptResend:
     def test_bb84_quarter(self):
         r = intercept_resend("bb84", 1_000_000, seed=0)
@@ -351,8 +368,10 @@ class TestMemoryBudget:
     so a temporary of n int64 or float64 values (a permutation, a whole
     basis or uniform draw) exceeds the budget wherever it is held.  The
     attack holds at most three such arrays at its peak (two bases and the
-    next basis draw); ``eve_matches_basis`` draws no Eve basis and takes its
-    own path, so both modes are held to the budget."""
+    next basis draw), beside one ``_CHUNK`` of raw bytes while it draws fair
+    bits; ``eve_matches_basis`` draws no Eve basis and takes its own path,
+    so both modes are held to the budget.  A B round compacts its survivors
+    in place, holding one ``_CHUNK`` of pair indices at a time."""
 
     N = 10**6
 
