@@ -45,8 +45,8 @@ def _fair_bits(rng, n: int):
     import numpy as np
     out = np.empty(n, np.uint8)
     for start in range(0, n, _CHUNK):
-        byte = np.frombuffer(rng.bytes(min(_CHUNK, n - start)), np.uint8)
-        np.right_shift(byte, 7, out=out[start : start + _CHUNK])
+        raw = np.frombuffer(rng.bytes(min(_CHUNK, n - start)), np.uint8)
+        np.right_shift(raw, 7, out=out[start : start + _CHUNK])
     return out
 
 

@@ -8,9 +8,11 @@ the same draws from the package's generator, plus Alice's and Eve's random
 bits from a second generator (:func:`bits_generator`) the package never
 sees.  Every report must match theirs exactly for every ``(n, seed)``, and
 must not change when those bits are complemented.  The references draw each
-population array in one call and form blocks from index columns; the
-package draws the error bits ``_CHUNK`` values at a time and takes strided
-views, so the sizes below straddle the chunk boundaries.
+population array in one call, fair bits through ``integers(0, 2)``, form
+blocks from index columns and select B-round survivors with boolean masks;
+the package draws ``_CHUNK`` values at a time, fair bits as raw bytes,
+takes strided views and compacts survivors chunk by chunk, so the sizes
+below straddle the chunk boundaries.
 """
 
 import math
