@@ -14,7 +14,7 @@ from array import array
 from collections.abc import Iterator
 from itertools import accumulate, compress, cycle, islice, repeat, starmap
 from math import isfinite, prod
-from operator import itemgetter, mul, truediv
+from operator import itemgetter, mul, not_, truediv
 from struct import Struct
 
 from .channel import PauliChannelParams, _Record
@@ -49,6 +49,8 @@ _survival = itemgetter(3)  # ps of a round's (qx, qy, qz, ps)
 _block_size = _BLOCK_SIZES.__getitem__
 _WIDTH = 4  # floats per probe state, (qx, qy, qz, ps) as a step map returns it
 _STATE = Struct(f"{_WIDTH}d")  # native doubles, as in array("d"): packing copies every bit
+_CHUNK = 1024  # states a level build maps, filters and packs at a time
+_HALF = 0.5 * (1.0 - 1e-9)  # largest weight of a clearly separable state
 
 
 def css_key_fraction(f1: float, f2: float) -> float:
@@ -408,30 +410,48 @@ def _net_rate_near_threshold(res: ThresholdResult) -> float:
     return two_way_net_rate(evolve(res.sequence, channel_for_family(res.family, p))).rate or 0.0
 
 
-def _next_level(shorter: array) -> array:
-    """States one round on from ``shorter``: B applied to every state, then P to every state.
+def _separable(qx: float, qy: float, qz: float, ps: float = 1.0) -> bool:
+    """Whether no Bell weight, qI = 1 - qx - qy - qz included, exceeds 1/2 less a relative 1e-9.
 
-    Each map's tuples go in packed by ``_STATE``, 1,024 states a chunk (memory stays flat).
+    Such a state is separable, whatever the rounding: no B, P or Bx round (each
+    two-way LOCC) makes it entangled, and 1 - h(f1) - h(f2) <= 1 - H(q) <= 0.
+    ``ps`` is ignored, so that a map's tuple unpacks into the call.
     """
-    out = array("d")
+    return 1.0 - qx - qy - qz <= _HALF and qx <= _HALF and qy <= _HALF and qz <= _HALF
+
+
+def _next_level(shorter: array, bits: array, length: int) -> tuple[array, array]:
+    """States one round on from ``shorter``, whose strings are ``bits``, and their strings' bits.
+
+    B is applied to every state, then P: a B child keeps its parent's bits and a
+    P child sets bit ``length - 1``, so the bits ascend.  A :func:`_separable`
+    child is dropped with every string through it.  Each map's tuples are
+    filtered and packed by ``_STATE``, ``_CHUNK`` states at a time (memory stays flat).
+    """
+    out, out_bits = array("d"), array("q")
     states = memoryview(shorter)  # strided views: no column copies
     rates = [states[i::_WIDTH] for i in range(3)]  # qx, qy, qz
-    for kind in (StepKind.B, StepKind.P):  # maps looked up per call, so substitutes apply
-        packed = starmap(_STATE.pack, map(_RATE_FUNCS[kind], *rates))
-        while chunk := b"".join(islice(packed, 1024)):
-            out.frombytes(chunk)
-    return out
+    for kind, bit in ((StepKind.B, 0), (StepKind.P, 1 << (length - 1))):
+        children = map(_RATE_FUNCS[kind], *rates)  # maps looked up per call, so substitutes apply
+        for start in range(0, len(bits), _CHUNK):
+            chunk = list(islice(children, _CHUNK))
+            entangled = list(map(not_, starmap(_separable, chunk)))
+            out.frombytes(b"".join(starmap(_STATE.pack, compress(chunk, entangled))))
+            out_bits.extend(map(bit.__or__, compress(bits[start : start + _CHUNK], entangled)))
+    return out, out_bits
 
 
-def _probe_states(root: tuple[float, float, float], length: int) -> array:
-    """Flat (qx, qy, qz, ps) of every length-``length`` B/P string, ``bits`` at ``_WIDTH * bits``.
+def _probe_states(root: tuple[float, float, float], length: int) -> tuple[array, array]:
+    """Flat (qx, qy, qz, ps) of the length-``length`` B/P strings from ``root``, and their bits.
 
-    ``root`` is the raw ``(qx, qy, qz)`` the strings start from.
+    ``root`` is the raw ``(qx, qy, qz)`` the strings start from.  A string is
+    left out when ``root`` or the state after one of its rounds is :func:`_separable`.
     """
-    level = array("d", (*root, 1.0))  # no round yet: ps = 1
-    for _ in range(length):
-        level = _next_level(level)
-    return level
+    entangled = not _separable(*root)  # ps = 1 below: no round yet
+    level, bits = array("d", (*root, 1.0) * entangled), array("q", [0] * entangled)
+    for n in range(1, length + 1):
+        level, bits = _next_level(level, bits, n)
+    return level, bits
 
 
 def _screen(level: array, margin: float) -> list[bool]:
@@ -461,21 +481,25 @@ def optimize_sequence(
     screens one breadth-first level of probe states per length in one pass
     (the maps' packed (qx, qy, qz, ps), grown from the level before or rebuilt
     when the root has risen), and the loop visits only the screened-in ones.
+    A level holds no string whose probe state, or a prefix's, is
+    :func:`_separable`: no round makes such a state entangled, so none converges.
     """
     if not 1 <= max_len <= 16:
         raise ValueError(f"max_len must be in [1, 16], got {max_len}")
 
     found = []  # result of every bisected candidate, in candidate order
     best_threshold = None  # highest threshold so far
-    probe_root = level = None  # raw rates at which level was built, and this length's probe states
-    viable = repeat(True)  # the screen of level: every candidate until there is a root
+    probe_root = level = level_bits = None  # raw rates of the level build, its states and bits
     for length in range(1, max_len + 1):
+        candidates = range(1 << length)  # every candidate until there is a root
         if best_threshold is not None and best_threshold - 2.0 * tol > 0.0:
             root = _family_rates(family, best_threshold - 2.0 * tol)
-            level = _next_level(level) if root == probe_root else _probe_states(root, length)
+            if root != probe_root:  # rebuilt up to the length before
+                level, level_bits = _probe_states(root, length - 1)
+            level, level_bits = _next_level(level, level_bits, length)
             probe_root = root
-            viable = _screen(level, css_margin)
-        for bits in compress(range(1 << length), viable):
+            candidates = compress(level_bits, _screen(level, css_margin))
+        for bits in candidates:
             seq = StepSequence.fixed(
                 tuple(StepKind.P if (bits >> i) & 1 else StepKind.B for i in range(length)),
                 css_margin=css_margin,

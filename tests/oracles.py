@@ -3,7 +3,9 @@
 Three references that share no formula with the package's maps:
 
 * :func:`enumerate_step_exact` propagates every Pauli configuration on one
-  block through a round's keep/discard/correct logic;
+  block through a round's keep/discard/correct logic
+  (:func:`enumerate_step_rational` does so in the arithmetic of its
+  weights, exact on fractions);
 * the (pz, px, delta) reparametrization, :class:`DeltaCoords`, with the B
   and P maps written in it.  The argument that a = 0 is the worst BB84
   channel (delta >= 0 and 1 - 2 pz - 2 delta > 0 are preserved) is carried
@@ -154,24 +156,14 @@ BIAS_MAPS = {StepKind.B: _b_bias, StepKind.P: _p_bias, StepKind.BX: _bx_bias}
 _FLAGS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-def enumerate_step_exact(
-    kind: StepKind, c: PauliChannelParams
-) -> tuple[PauliChannelParams, float, float]:
-    """Exhaust all Pauli configurations on one block.
+def _kept_products(kind: StepKind, prob: dict) -> dict:
+    """Probability product of every configuration on one block that a ``kind`` round keeps.
 
-    Propagates per-pair error flags through the step's keep/discard/correct
-    logic over all 16 (B/Bx) or 64 (P) configurations, accumulating category
-    probabilities with exact summation.  Returns the channel after the
-    round, the block survival probability and the kept fraction of the
-    population; must reproduce the closed-form map to ~1e-15.
+    ``prob`` maps each flag category to its weight; the products are listed
+    under the flags of the pair the round keeps.  They are formed with ``*``
+    alone, so exact weights give exact products.
     """
-    prob = {
-        (0, 0): c.qi,
-        (1, 0): c.qx,
-        (1, 1): c.qy,
-        (0, 1): c.qz,
-    }
-    kept: dict[tuple[int, int], list[float]] = {f: [] for f in _FLAGS}
+    kept: dict[tuple[int, int], list] = {f: [] for f in _FLAGS}
     if kind is StepKind.P:
         for f1 in _FLAGS:
             for f2 in _FLAGS:
@@ -179,9 +171,6 @@ def enumerate_step_exact(
                     x = f1[0] ^ f2[0] ^ f3[0]
                     z = 1 if f1[1] + f2[1] + f3[1] >= 2 else 0
                     kept[(x, z)].append(prob[f1] * prob[f2] * prob[f3])
-        total = fsum(p for bucket in kept.values() for p in bucket)
-        survival = 1.0
-        yield_factor = 1.0 / 3.0
     else:
         for f1 in _FLAGS:
             for f2 in _FLAGS:
@@ -194,15 +183,41 @@ def enumerate_step_exact(
                         continue
                     out = (f1[0] ^ f2[0], f1[1])
                 kept[out].append(prob[f1] * prob[f2])
-        total = fsum(p for bucket in kept.values() for p in bucket)
-        survival = total
-        yield_factor = 0.5 * total
+    return kept
+
+
+def enumerate_step_exact(
+    kind: StepKind, c: PauliChannelParams
+) -> tuple[PauliChannelParams, float, float]:
+    """Exhaust all Pauli configurations on one block.
+
+    Propagates per-pair error flags through the step's keep/discard/correct
+    logic over all 16 (B/Bx) or 64 (P) configurations, accumulating category
+    probabilities with exact summation.  Returns the channel after the
+    round, the block survival probability and the kept fraction of the
+    population; must reproduce the closed-form map to ~1e-15.
+    """
+    kept = _kept_products(kind, {(0, 0): c.qi, (1, 0): c.qx, (1, 1): c.qy, (0, 1): c.qz})
+    total = fsum(p for bucket in kept.values() for p in bucket)
+    survival = 1.0 if kind is StepKind.P else total
+    yield_factor = 1.0 / 3.0 if kind is StepKind.P else 0.5 * total
     params = PauliChannelParams(
         fsum(kept[(1, 0)]) / total,
         fsum(kept[(1, 1)]) / total,
         fsum(kept[(0, 1)]) / total,
     )
     return params, survival, yield_factor
+
+
+def enumerate_step_rational(kind: StepKind, q: tuple) -> tuple:
+    """Bell weights (qI, qx, qy, qz) after a ``kind`` round, in the arithmetic of ``q``'s weights.
+
+    The enumeration of :func:`enumerate_step_exact`, summed with ``sum``: on
+    :class:`fractions.Fraction` weights every output weight is exact.
+    """
+    kept = _kept_products(kind, dict(zip(_FLAGS, q)))
+    total = sum(p for bucket in kept.values() for p in bucket)
+    return tuple(sum(kept[f]) / total for f in _FLAGS)
 
 
 def _b_rates_max(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:

@@ -7,28 +7,40 @@ candidates, grown by one round from the level before while that root holds.
 threshold and picks its winner by the documented rule, written out on its
 own.  With ``best_so_far=True`` it probes at the best threshold so far
 instead, the rule the prune followed before it read one root per length.
+A level leaves out every string with a clearly separable prefix, which the
+reference does not: ``TestProbeStates`` holds the levels to the unpruned
+``reference_next_level`` and ``TestSeparability`` proves the drop exact.
 """
 
+import random
 from array import array
-from itertools import chain
+from fractions import Fraction
+from itertools import chain, compress, starmap
+from math import nan
+from operator import not_
 
 import pytest
-from conftest import CountingMaps, traced_peak
+from conftest import CountingMaps, random_channels, traced_peak
+from oracles import enumerate_step_rational
 
 from twoway_qkd import StepKind, StepSequence, convergence, find_threshold, optimize_sequence
 from twoway_qkd.convergence import (
+    BRACKET_UPPER,
     DEFAULT_CSS_MARGIN,
+    _CHUNK,
     _WIDTH,
     _converges,
+    _css_viable,
     _evolve_rounds,
     _family_rates,
     _net_rate_near_threshold,
     _next_level,
     _probe_states,
     _screen,
+    _separable,
     css_key_fraction,
 )
-from twoway_qkd.keyrates import NumericalError
+from twoway_qkd.keyrates import NumericalError, bounds_table
 from twoway_qkd.steps import _RATE_FUNCS
 
 
@@ -178,8 +190,20 @@ def final_state(root, length, bits):
     return rounds[-1]
 
 
+def clearly_separable(qx, qy, qz, ps=None):
+    """The prune's test from its definition: no Bell weight above 1/2 less a relative 1e-9."""
+    return max(1.0 - qx - qy - qz, qx, qy, qz) <= 0.5 * (1.0 - 1e-9)
+
+
+def has_separable_prefix(root, length, bits):
+    """Whether ``root`` or the state after one of the string's rounds, as the kernel applies them, is."""
+    rounds = []
+    _evolve_rounds(as_sequence(length, bits), root, rounds)
+    return any(starmap(clearly_separable, (root, *rounds)))
+
+
 def reference_next_level(shorter):
-    """``_next_level`` built float by float: each map's tuples flattened into ``array.extend``."""
+    """``_next_level`` unpruned, built float by float: each map's tuples flattened into ``array.extend``."""
     out = array("d")
     states = memoryview(shorter)
     rates = states[0::_WIDTH], states[1::_WIDTH], states[2::_WIDTH]
@@ -188,43 +212,92 @@ def reference_next_level(shorter):
     return out
 
 
+def reference_levels(root, max_length):
+    """Full levels of lengths 0 to ``max_length`` from ``root``, the state for ``bits`` at ``_WIDTH * bits``.
+
+    Each comes with the bits of its strings that have no clearly separable
+    prefix: a string's parent is its bits less the top one.
+    """
+    full = array("d", (*root, 1.0))
+    cut = [clearly_separable(*root)]
+    for length in range(max_length + 1):
+        if length:
+            full = reference_next_level(full)
+            half = 1 << (length - 1)
+            cut = [cut[bits % half] or clearly_separable(*full[4 * bits : 4 * bits + 3])
+                   for bits in range(1 << length)]
+        yield full, array("q", compress(range(1 << length), map(not_, cut)))
+
+
+def kept_states(full, kept):
+    return array("d", chain.from_iterable(full[4 * bits : 4 * bits + 4] for bits in kept))
+
+
+#: Bytes a level build holds at its peak beside its two output arrays, per
+#: state of the one chunk in flight: the chunk's (qx, qy, qz, ps) tuples and
+#: their list, flags and packed copies, and the arrays' spare capacity.
+#: 251 and 248 measured on builds of 15,470 and 32,768 states (CPython 3.10
+#: and 3.11, 64-bit).
+CHUNK_STATE_BYTES = 320
+
+
 class TestProbeStates:
     @pytest.mark.parametrize("family,p", [("sixstate", 0.26), ("bb84_worst", 0.18)])
     def test_states_match_the_kernel(self, family, p):
+        """A string is kept exactly when no prefix along the kernel's rounds is
+        clearly separable, and its state is the kernel's, in ascending bits."""
         root = _family_rates(family, p)
-        for length in range(1, 7):
-            states = _probe_states(root, length)
-            assert len(states) == 4 << length
-            for bits in range(1 << length):
-                assert tuple(states[4 * bits : 4 * bits + 4]) == final_state(root, length, bits)
+        for length in range(1, 9):
+            states, bits = _probe_states(root, length)
+            assert len(states) == _WIDTH * len(bits)
+            assert list(bits) == sorted(set(bits))
+            for i, b in enumerate(bits):
+                assert tuple(states[4 * i : 4 * i + 4]) == final_state(root, length, b)
+                assert not has_separable_prefix(root, length, b)
+            dropped = set(range(1 << length)).difference(bits)
+            assert all(has_separable_prefix(root, length, b) for b in dropped)
+        assert dropped  # the prune acts at these roots
+
+    def test_a_separable_root_has_no_states(self):
+        for length in (0, 1, 5):
+            assert _probe_states(_family_rates("bb84_worst", 0.26), length) == (array("d"), array("q"))
 
     @pytest.mark.parametrize(
         "family,p",
-        [("sixstate", 0.2), ("sixstate", 0.27), ("bb84_worst", 0.15), ("bb84_worst", 0.19)],
+        [("sixstate", 0.2), ("sixstate", 0.26), ("bb84_worst", 0.15), ("bb84_worst", 0.19)],
     )
     def test_levels_across_chunks_match_the_reference(self, family, p):
-        """Lengths 10-13 pack each kind's 512, 1,024, 2,048 and 4,096 states: one
-        partial chunk, one whole chunk and several chunks, each to the byte."""
+        """Lengths 10-13 are built from one partial chunk of states per kind up to
+        two or three chunks, each to the byte of the pruned reference level."""
         root = _family_rates(family, p)
-        level = _probe_states(root, 0)
-        for length in range(1, 14):
-            level = reference_next_level(level)
+        for length, (full, kept) in enumerate(reference_levels(root, 13)):
+            if length == 12:
+                assert len(kept) > _CHUNK  # length 13 maps more than one chunk a kind
             if length >= 10:
-                assert _probe_states(root, length).tobytes() == level.tobytes(), length
+                states, bits = _probe_states(root, length)
+                assert states.tobytes() == kept_states(full, kept).tobytes(), length
+                assert bits == kept, length
 
     def test_a_level_build_holds_little_beside_its_output(self):
-        """A 2**15-state level peaks at most 1.25 times its own bytes: packed
-        chunks are appended as they are made, never joined into one whole level."""
-        shorter = _probe_states(_family_rates("sixstate", 0.2), 14)
-        level_bytes = (_WIDTH << 15) * array("d").itemsize
-        assert len(_next_level(shorter)) * array("d").itemsize == level_bytes
-        assert traced_peak(lambda: _next_level(shorter)) <= 1.25 * level_bytes
+        """Packed chunks are appended as they are made, never joined into one
+        whole level: a build peaks at its output plus one chunk in flight."""
+        for p in (0.05, 0.2):  # nothing pruned, and about half
+            shorter, bits = _probe_states(_family_rates("sixstate", p), 14)
+            states, kept = _next_level(shorter, bits, 15)
+            assert len(kept) > 15 * _CHUNK
+            output = len(states) * states.itemsize + len(kept) * kept.itemsize
+            peak = traced_peak(lambda: _next_level(shorter, bits, 15))
+            assert peak <= output + CHUNK_STATE_BYTES * _CHUNK, p
 
     @pytest.mark.parametrize("length", range(1, 7))
     def test_one_map_evaluation_per_tree_node(self, monkeypatch, length):
+        """Each kept state of the shorter lengths has its B and P child mapped once."""
+        root = _family_rates("sixstate", 0.2)
+        kept = sum(len(_probe_states(root, shorter)[1]) for shorter in range(length))
         maps = CountingMaps(monkeypatch)
-        _probe_states(_family_rates("sixstate", 0.2), length)
-        assert maps.calls == (2 << length) - 2
+        _probe_states(root, length)
+        assert maps.calls == 2 * kept
+        assert length < 3 or maps.calls < (2 << length) - 2  # a subtree is dropped from length 2
 
 
 class TestScreen:
@@ -261,11 +334,88 @@ class TestScreen:
     @pytest.mark.parametrize("margin", [0.0, 1e-30, 0.1])
     @pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
     def test_verdicts_equal_the_key_fraction(self, final_probe_roots, family, margin):
-        level = _probe_states(final_probe_roots[0][family], 0)
-        for length in range(1, 14):
-            level = _next_level(level)
-            expected = [
-                css_key_fraction(qx + qy, qy + qz) > margin
-                for qx, qy, qz in zip(level[0::4], level[1::4], level[2::4])
-            ]
-            assert _screen(level, margin) == expected, length
+        """On every state of each full level, and on the pruned level the search screens."""
+        levels = reference_levels(final_probe_roots[0][family], 13)
+        next(levels)
+        for length, (full, kept) in enumerate(levels, 1):
+            for states in (full, kept_states(full, kept)):
+                expected = [
+                    css_key_fraction(qx + qy, qy + qz) > margin
+                    for qx, qy, qz in zip(states[0::4], states[1::4], states[2::4])
+                ]
+                assert _screen(states, margin) == expected, length
+
+
+def separable_weights(rng, count):
+    """``count`` random Bell weights (qI, qx, qy, qz) as fractions, none above 1/2.
+
+    Half of them have one weight exactly 1/2, in turn at each place; a fifth of
+    those split the other half between fewer than three weights.
+    """
+    states = []
+    while len(states) < count:
+        if len(states) % 2:
+            parts = [rng.randint(0, 60) for _ in range(4)]
+            if 2 * max(parts) > sum(parts):
+                continue
+            states.append(tuple(Fraction(w, sum(parts)) for w in parts))
+        else:
+            place = len(states) // 2 % 4
+            parts = [rng.randint(0 if len(states) % 5 else 1, 60) for _ in range(3)]
+            if len(states) % 5 == 0:
+                parts[rng.randrange(3)] = 0
+            rest = [Fraction(w, 2 * sum(parts)) for w in parts]
+            states.append((*rest[:place], Fraction(1, 2), *rest[place:]))
+    return states
+
+
+class TestSeparability:
+    """The prune is exact: it drops only strings that no round can make converge.
+
+    In double precision a descendant of a separable state can read as
+    entangled, and even as CSS-viable, so the prune's soundness is checked
+    in exact arithmetic, never against the kernel's verdicts.
+    """
+
+    def test_no_round_makes_a_separable_state_entangled(self):
+        states = separable_weights(random.Random(36), 160)
+        for q in states:
+            for kind in StepKind:
+                out = enumerate_step_rational(kind, q)
+                assert sum(out) == 1 and max(out) <= Fraction(1, 2), (kind, q, out)
+        for q in states[:20]:
+            for first in StepKind:
+                once = enumerate_step_rational(first, q)
+                for kind in StepKind:
+                    assert max(enumerate_step_rational(kind, once)) <= Fraction(1, 2), (first, kind, q)
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-30, 0.1])
+    def test_no_clearly_separable_state_is_css_viable(self, margin):
+        near = [  # each boundary state moved toward the maximally mixed one, to a largest weight of 1/2 - 1.025e-6
+            tuple((1.0 - 4.1e-6) * float(w) + 1.025e-6 for w in q)
+            for q in separable_weights(random.Random(1), 200)[0::2]
+        ]
+        sampled = [(c.qi, c.qx, c.qy, c.qz) for c in random_channels(4000, seed=36)]
+        states = [q for q in near + sampled if max(q) <= 0.5 - 1e-6]
+        assert len(states) > 1000
+        assert not any(_css_viable(qx, qy, qz, margin) for _, qx, qy, qz in states)
+
+    def test_the_predicate_keeps_every_weight_above_its_guard(self):
+        assert _separable(0.25, 0.25, 0.25) and _separable(0.5 * (1 - 1e-9), 0.5 * (1 - 1e-9), 0.0)
+        for place in range(3):
+            state = [0.5 * (1.0 - 1e-9) * 0.4] * 3
+            state[place] = 0.5 * (1.0 - 0.9e-9)
+            assert not _separable(*state)
+        assert not _separable(0.25, 0.2 - 1e-6, 0.05)  # qI = 0.5 + 1e-6
+        assert not _separable(nan, 0.0, 0.0)  # noise never drops a state
+        for q in separable_weights(random.Random(2), 100):
+            qi, qx, qy, qz = map(float, q)
+            assert _separable(qx, qy, qz, 1.0) == clearly_separable(qx, qy, qz)
+
+    @pytest.mark.parametrize("family,scheme", [("bb84_worst", "bb84"), ("sixstate", "sixstate")])
+    def test_the_two_way_ceilings_are_the_separability_boundary(self, family, scheme):
+        """Each family turns separable at its literal two-way ceiling, 1/4 or 1/3."""
+        ceiling = bounds_table()[scheme]["two_way"]["upper"]
+        assert not _separable(*_family_rates(family, ceiling - 1e-6))
+        assert _separable(*_family_rates(family, ceiling + 1e-6))
+        assert bounds_table()["sixstate"]["two_way"]["upper"] == BRACKET_UPPER
