@@ -413,9 +413,9 @@ def _net_rate_near_threshold(res: ThresholdResult) -> float:
 def _separable(qx: float, qy: float, qz: float, ps: float = 1.0) -> bool:
     """Whether no Bell weight, qI = 1 - qx - qy - qz included, exceeds 1/2 less a relative 1e-9.
 
-    Such a state is separable, whatever the rounding: no B, P or Bx round (each
-    two-way LOCC) makes it entangled, and 1 - h(f1) - h(f2) <= 1 - H(q) <= 0.
-    ``ps`` is ignored, so that a map's tuple unpacks into the call.
+    Such a state is separable whatever the rounding: no B, P or Bx round (each two-way
+    LOCC) makes it entangled, and 1 - h(f1) - h(f2) <= 1 - H(q) <= 0.  ``ps`` is
+    ignored, so that a map's (qx, qy, qz, ps) unpacks into the call.
     """
     return 1.0 - qx - qy - qz <= _HALF and qx <= _HALF and qy <= _HALF and qz <= _HALF
 
@@ -423,10 +423,9 @@ def _separable(qx: float, qy: float, qz: float, ps: float = 1.0) -> bool:
 def _next_level(shorter: array, bits: array, length: int) -> tuple[array, array]:
     """States one round on from ``shorter``, whose strings are ``bits``, and their strings' bits.
 
-    B is applied to every state, then P: a B child keeps its parent's bits and a
-    P child sets bit ``length - 1``, so the bits ascend.  A :func:`_separable`
-    child is dropped with every string through it.  Each map's tuples are
-    filtered and packed by ``_STATE``, ``_CHUNK`` states at a time (memory stays flat).
+    B is applied to every state, then P: a B child keeps its parent's bits and a P child sets bit
+    ``length - 1``, so the bits ascend.  A :func:`_separable` child is dropped with every string
+    through it.  Map outputs are filtered and packed ``_CHUNK`` at a time, so memory stays flat.
     """
     out, out_bits = array("d"), array("q")
     states = memoryview(shorter)  # strided views: no column copies

@@ -9,7 +9,8 @@ own.  With ``best_so_far=True`` it probes at the best threshold so far
 instead, the rule the prune followed before it read one root per length.
 A level leaves out every string with a clearly separable prefix, which the
 reference does not: ``TestProbeStates`` holds the levels to the unpruned
-``reference_next_level`` and ``TestSeparability`` proves the drop exact.
+``reference_next_level`` and ``TestSeparability`` checks the drop in exact
+arithmetic.
 """
 
 import random
@@ -196,14 +197,14 @@ def clearly_separable(qx, qy, qz, ps=None):
 
 
 def has_separable_prefix(root, length, bits):
-    """Whether ``root`` or the state after one of the string's rounds, as the kernel applies them, is."""
+    """Whether ``root``, or the state after one of the string's rounds in the kernel, is."""
     rounds = []
     _evolve_rounds(as_sequence(length, bits), root, rounds)
     return any(starmap(clearly_separable, (root, *rounds)))
 
 
 def reference_next_level(shorter):
-    """``_next_level`` unpruned, built float by float: each map's tuples flattened into ``array.extend``."""
+    """``_next_level`` unpruned, float by float: each map's tuples flattened by ``array.extend``."""
     out = array("d")
     states = memoryview(shorter)
     rates = states[0::_WIDTH], states[1::_WIDTH], states[2::_WIDTH]
@@ -213,7 +214,7 @@ def reference_next_level(shorter):
 
 
 def reference_levels(root, max_length):
-    """Full levels of lengths 0 to ``max_length`` from ``root``, the state for ``bits`` at ``_WIDTH * bits``.
+    """Full levels of lengths 0 to ``max_length`` from ``root``, a string at ``_WIDTH * bits``.
 
     Each comes with the bits of its strings that have no clearly separable
     prefix: a string's parent is its bits less the top one.
@@ -224,13 +225,14 @@ def reference_levels(root, max_length):
         if length:
             full = reference_next_level(full)
             half = 1 << (length - 1)
-            cut = [cut[bits % half] or clearly_separable(*full[4 * bits : 4 * bits + 3])
+            cut = [cut[bits % half] or clearly_separable(*full[_WIDTH * bits : _WIDTH * bits + 3])
                    for bits in range(1 << length)]
         yield full, array("q", compress(range(1 << length), map(not_, cut)))
 
 
 def kept_states(full, kept):
-    return array("d", chain.from_iterable(full[4 * bits : 4 * bits + 4] for bits in kept))
+    states = (full[_WIDTH * bits : _WIDTH * (bits + 1)] for bits in kept)
+    return array("d", chain.from_iterable(states))
 
 
 #: Bytes a level build holds at its peak beside its two output arrays, per
@@ -252,15 +254,16 @@ class TestProbeStates:
             assert len(states) == _WIDTH * len(bits)
             assert list(bits) == sorted(set(bits))
             for i, b in enumerate(bits):
-                assert tuple(states[4 * i : 4 * i + 4]) == final_state(root, length, b)
+                assert tuple(states[_WIDTH * i : _WIDTH * (i + 1)]) == final_state(root, length, b)
                 assert not has_separable_prefix(root, length, b)
             dropped = set(range(1 << length)).difference(bits)
             assert all(has_separable_prefix(root, length, b) for b in dropped)
         assert dropped  # the prune acts at these roots
 
     def test_a_separable_root_has_no_states(self):
+        root = _family_rates("bb84_worst", 0.26)
         for length in (0, 1, 5):
-            assert _probe_states(_family_rates("bb84_worst", 0.26), length) == (array("d"), array("q"))
+            assert _probe_states(root, length) == (array("d"), array("q"))
 
     @pytest.mark.parametrize(
         "family,p",
@@ -298,6 +301,14 @@ class TestProbeStates:
         _probe_states(root, length)
         assert maps.calls == 2 * kept
         assert length < 3 or maps.calls < (2 << length) - 2  # a subtree is dropped from length 2
+
+
+@pytest.mark.parametrize("family,calls", [("sixstate", 4_972), ("bb84_worst", 10_188)])
+def test_map_calls_of_a_max_len_13_search(monkeypatch, family, calls):
+    """Levels and bisections together; growing every state of each level took 17,682 and 22,368."""
+    maps = CountingMaps(monkeypatch)
+    optimize_sequence(family, 13)
+    assert maps.calls == calls
 
 
 class TestScreen:
@@ -341,7 +352,7 @@ class TestScreen:
             for states in (full, kept_states(full, kept)):
                 expected = [
                     css_key_fraction(qx + qy, qy + qz) > margin
-                    for qx, qy, qz in zip(states[0::4], states[1::4], states[2::4])
+                    for qx, qy, qz in zip(*(states[i::_WIDTH] for i in range(3)))
                 ]
                 assert _screen(states, margin) == expected, length
 
@@ -361,7 +372,7 @@ def separable_weights(rng, count):
             states.append(tuple(Fraction(w, sum(parts)) for w in parts))
         else:
             place = len(states) // 2 % 4
-            parts = [rng.randint(0 if len(states) % 5 else 1, 60) for _ in range(3)]
+            parts = [rng.randint(1, 60) for _ in range(3)]
             if len(states) % 5 == 0:
                 parts[rng.randrange(3)] = 0
             rest = [Fraction(w, 2 * sum(parts)) for w in parts]
@@ -387,11 +398,12 @@ class TestSeparability:
             for first in StepKind:
                 once = enumerate_step_rational(first, q)
                 for kind in StepKind:
-                    assert max(enumerate_step_rational(kind, once)) <= Fraction(1, 2), (first, kind, q)
+                    twice = enumerate_step_rational(kind, once)
+                    assert max(twice) <= Fraction(1, 2), (first, kind, q)
 
     @pytest.mark.parametrize("margin", [0.0, 1e-30, 0.1])
     def test_no_clearly_separable_state_is_css_viable(self, margin):
-        near = [  # each boundary state moved toward the maximally mixed one, to a largest weight of 1/2 - 1.025e-6
+        near = [  # boundary states moved toward the maximally mixed one, to 1/2 - 1.025e-6
             tuple((1.0 - 4.1e-6) * float(w) + 1.025e-6 for w in q)
             for q in separable_weights(random.Random(1), 200)[0::2]
         ]
@@ -409,7 +421,7 @@ class TestSeparability:
         assert not _separable(0.25, 0.2 - 1e-6, 0.05)  # qI = 0.5 + 1e-6
         assert not _separable(nan, 0.0, 0.0)  # noise never drops a state
         for q in separable_weights(random.Random(2), 100):
-            qi, qx, qy, qz = map(float, q)
+            _, qx, qy, qz = map(float, q)
             assert _separable(qx, qy, qz, 1.0) == clearly_separable(qx, qy, qz)
 
     @pytest.mark.parametrize("family,scheme", [("bb84_worst", "bb84"), ("sixstate", "sixstate")])
