@@ -26,7 +26,7 @@ SCHEMA_VERSION = 1
 FLOAT_DIGITS = 9
 
 # A Monte Carlo run's memory grows linearly in --n; at this cap a launch peaked
-# at 63 MB RSS for attack and 53 MB for simulate (README, "Command line").
+# at 63 MB RSS for attack and 45 MB for simulate (README, "Command line").
 _MAX_N = 10**7
 
 # CSV columns of the per-round reports, one row per round

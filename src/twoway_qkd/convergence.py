@@ -181,14 +181,14 @@ class Trajectory(_Record):
     """A sequence evolution: the raw rates of every round and its CSS verdict.
 
     ``rounds`` holds one ``(qx, qy, qz, ps)`` tuple per round of the
-    sequence that ran.  A diverged alternating run that stopped at a
-    repeated state holds all ``max_rounds`` rounds; at that exit the kernel
-    pads them with copies of one period of the cycle, the last two or four
-    computed.  These tuples are the trajectory's only per-round data: the
-    final rates, the CSS rate and the rows of :meth:`to_rows` are all read
-    from them, and no channel is built per round.  A round keeps
-    ``ps / block size`` of its pairs; the rows' running yields and
-    :attr:`cumulative_yield` multiply those fractions in round order.
+    sequence that ran.  A diverged alternating run holds all
+    ``max_rounds`` rounds, those past its cycle exit copied by the kernel
+    (see :func:`_evolve_rounds`).  These tuples are the trajectory's only
+    per-round data: the final rates, the CSS rate and the rows of
+    :meth:`to_rows` are all read from them, and no channel is built per
+    round.  A round keeps ``ps / block size`` of its pairs; the rows'
+    running yields and :attr:`cumulative_yield` multiply those fractions in
+    round order.
     """
 
     def __init__(
@@ -262,25 +262,21 @@ def _evolve_rounds(
     CSS verdict.  When ``rounds`` is a list, each round's
     ``(qx, qy, qz, ps)`` is appended to it.
 
-    An alternating run stops early once the state after round i equals the
-    state after round i - 2, or else that after round i - 4: both states
-    have failed the CSS test, and the maps are deterministic and the step
-    kinds alternate with period 2, so the rounds after i repeat the last two
-    (or four) for good.  ``rounds`` is padded there, to every step, with copies of them.
+    A fixed string runs every round and tests its final state.  An
+    alternating run tests the state each round starts from, the starting
+    rates included, and stops at the first CSS-viable one.  It also stops
+    once that state equals the state two rounds earlier, or else the one
+    four rounds earlier: both have failed the CSS test, and the maps are
+    deterministic and the step kinds alternate with period 2, so the rounds
+    still to come repeat the last two (or four) computed for good.
+    ``rounds`` is padded there, to every step, with copies of them.
     """
     margin = seq.css_margin
     qx, qy, qz = rates
     alternating = seq.policy == ALTERNATING
-    if alternating:
-        if _css_viable(qx, qy, qz, margin):
-            return True
-        s4 = s3 = s2 = s1 = None  # states after rounds i - 4, i - 3, i - 2 and i - 1
+    s4 = s3 = s2 = s1 = None  # states rounds i - 4, i - 3, i - 2 and i - 1 started from
     maps = _RATE_FUNCS
     for kind in seq.steps:
-        step = maps[kind](qx, qy, qz)
-        qx, qy, qz, _ = step
-        if rounds is not None:
-            rounds.append(step)
         if alternating:
             state = (qx, qy, qz)
             if state == s2 or state == s4:
@@ -291,7 +287,11 @@ def _evolve_rounds(
             if _css_viable(qx, qy, qz, margin):
                 return True
             s4, s3, s2, s1 = s3, s2, s1, state
-    return not alternating and _css_viable(qx, qy, qz, margin)
+        step = maps[kind](qx, qy, qz)
+        qx, qy, qz, _ = step
+        if rounds is not None:
+            rounds.append(step)
+    return _css_viable(qx, qy, qz, margin)
 
 
 def evolve(seq: StepSequence, c: PauliChannelParams) -> Trajectory:
@@ -299,7 +299,7 @@ def evolve(seq: StepSequence, c: PauliChannelParams) -> Trajectory:
 
     An alternating run that never reaches CSS viability is non-converged
     with the diagnostic ``no CSS viability within N rounds`` and holds all
-    N rounds; those past a repeated state are the kernel's copies (see :class:`Trajectory`).
+    N rounds; those past its cycle exit are copies (see :func:`_evolve_rounds`).
     """
     rounds: list[tuple[float, float, float, float]] = []
     converged = _evolve_rounds(seq, (c.qx, c.qy, c.qz), rounds)

@@ -182,6 +182,10 @@ class TestSequenceParsing:
         with pytest.raises(ValueError, match="non-empty"):
             StepSequence(steps=(), policy="fixed")
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError, match="^unknown policy 'x'$"):
+            StepSequence(policy="x")
+
     def test_alternation_kind_schedule(self):
         # six-state p = 0.3 lies above the alternation's threshold
         t = evolve(StepSequence.alternating(4), sixstate_channel(0.3))

@@ -248,6 +248,38 @@ class TestCycleExit:
         assert not _converges(parse_sequence("BP" * 100), _family_rates("sixstate", 0.28))
         assert maps.calls == 200
 
+    @pytest.mark.parametrize("text", ["alt:3", "alt:200"])
+    def test_periodic_from_the_start(self, monkeypatch, text):
+        # six-state p = 1/2 is the channel (1/4, 1/4, 1/4), which B and P
+        # both keep: round 3 starts from the starting state, so the run stops
+        # after two rounds
+        seq, c = parse_sequence(text), channel_for_family("sixstate", 0.5)
+        expected = reference_evolve(seq, c)
+        maps = CountingMaps(monkeypatch)
+        assert not _converges(seq, raw_rates(c))
+        assert maps.calls == 2
+        maps.calls = 0
+        assert_same_observables(evolve(seq, c), expected)
+        assert maps.calls == 2
+
+    @pytest.mark.parametrize("text, computed", [("alt:20", 20), ("alt:21", 21), ("alt:22", 21)])
+    def test_cycle_that_shows_at_the_last_round(self, monkeypatch, text, computed):
+        # six-state p = 0.28: the state after round 21 is the first to repeat
+        # the one two rounds before it, so only alt:22 has a round to pad
+        seq, c = parse_sequence(text), channel_for_family("sixstate", 0.28)
+        expected, verdict = reference_evolve(seq, c), reference_converges(seq, raw_rates(c))
+        maps = CountingMaps(monkeypatch)
+        assert _converges(seq, raw_rates(c)) == verdict
+        assert maps.calls == computed
+        maps.calls = 0
+        t = evolve(seq, c)
+        assert maps.calls == computed
+        assert_same_observables(t, expected)
+        states = [r[:3] for r in t.rounds]
+        assert [k for k in range(2, computed) if states[k] == states[k - 2]] == (
+            [20] if computed == 21 else []
+        )
+
 
 class TestLazyRecords:
     """A trajectory keeps raw rounds and builds its rows on read.
