@@ -15,10 +15,13 @@ identical populations, blocks and reports.
 
 Every population array holds one byte a sample.  The error bits come from
 float64 uniforms drawn ``_CHUNK`` values at a time straight into such an
-array, so no array of n float64 values is ever held.  A fair bit is the top
-bit of a random byte from ``rng.bytes``: the value and stream use of
-``rng.integers(0, 2, dtype=np.uint8)``, whose bounded method returns that
-top bit.  A B round compacts its survivors into the front of the
+array, so no array of n float64 values is ever held.  Bases and fair bits
+come from the bytes of raw 64-bit words (``bit_generator.random_raw``), in
+the order and with the stream use of numpy's bounded uint8 draws: a fair
+bit is the top bit of a byte, as ``rng.integers(0, 2, dtype=np.uint8)``
+returns it, and a six-state basis is the value
+``rng.integers(0, 3, dtype=np.uint8)`` makes of a byte, redrawing a zero
+byte.  A B round compacts its survivors into the front of the
 population buffer ``_CHUNK`` pairs at a time, so no index array over the
 whole round is held.
 
@@ -34,20 +37,90 @@ from .channel import PauliChannelParams, _Record
 from .convergence import StepSequence, evolve
 from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES
 
-# Values per draw call.  A float64 takes one 64-bit word, and a multiple of 4
-# fair bits takes whole 32-bit words, so a chunked draw consumes the stream
-# exactly as one whole-array call does.
+# Values per draw call, so no whole-population temporary is held.  A float64
+# takes one 64-bit word, so chunked uniforms consume the stream exactly as one
+# whole-array call does; the byte source below is one stream across its chunks.
 _CHUNK = 2**16
 
 
+class _ByteSource:
+    """The bytes a uint8 ``rng.integers`` call reads, from raw 64-bit words.
+
+    Such a call reads ``next_uint32`` words, low byte first.  PCG64 returns
+    the upper half of a 64-bit word it has buffered first, then the low and
+    the upper half of each new word, so the stream is the buffered half's 4
+    bytes, then each new word's 8 bytes in little-endian order.
+    ``random_raw`` draws the words past that buffer.  ``close`` leaves the
+    generator as such a call leaves it after reading every byte filled: a
+    half-word is used up once a byte of it is read, an unread upper half
+    stays buffered, and ``uinteger`` holds the last word's upper half.
+    """
+
+    def __init__(self, rng) -> None:
+        import numpy as np
+        self._bitgen = rng.bit_generator
+        state = self._bitgen.state
+        # bytes drawn but not yet read: at first the buffered half-word's, if any
+        self._left = np.array([state["uinteger"]], "<u4").view(np.uint8)[: 4 * state["has_uint32"]]
+        self._upper = None  # the upper half of the last word drawn
+
+    def fill(self, dest) -> None:
+        """Writes the next ``dest.size`` bytes of the stream into ``dest``."""
+        j = min(self._left.size, dest.size)
+        dest[:j] = self._left[:j]
+        self._left = self._left[j:]
+        for start in range(j, dest.size, _CHUNK):
+            k = min(_CHUNK, dest.size - start)
+            words = self._bitgen.random_raw(-(-k // 8))
+            raw = words.astype("<u8", copy=False).view("u1")
+            dest[start : start + k] = raw[:k]
+            self._left = raw[k:].copy()
+            self._upper = int(words[-1]) >> 32
+
+    def close(self) -> None:
+        state = self._bitgen.state
+        state["has_uint32"] = int(self._left.size >= 4)
+        if self._upper is not None:
+            state["uinteger"] = self._upper
+        self._bitgen.state = state
+
+
 def _fair_bits(rng, n: int):
-    """``rng.integers(0, 2, n, dtype=np.uint8)``, values and stream position."""
+    """``rng.integers(0, 2, n, dtype=np.uint8)``, values and stream position.
+
+    The bounded method returns the top bit of each byte.
+    """
     import numpy as np
     out = np.empty(n, np.uint8)
-    for start in range(0, n, _CHUNK):
-        raw = np.frombuffer(rng.bytes(min(_CHUNK, n - start)), np.uint8)
-        np.right_shift(raw, 7, out=out[start : start + _CHUNK])
-    return out
+    src = _ByteSource(rng)
+    src.fill(out)
+    src.close()
+    return np.right_shift(out, 7, out=out)
+
+
+def _thirds(rng, n: int):
+    """``rng.integers(0, 3, n, dtype=np.uint8)``, values and stream position.
+
+    Lemire's method, as numpy runs it on a byte b, returns (3b) >> 8, which
+    is (b >= 86) + (b >= 171), and redraws b = 0, the one byte whose product
+    3b leaves a remainder below 256 mod 3.  Each ``_CHUNK`` of bytes is
+    compacted past its zero bytes in place, and the kept bytes are mapped at
+    the end through (b - 1) // 85, which is that sum for every b >= 1.
+    """
+    import numpy as np
+    out = np.empty(n, np.uint8)
+    src = _ByteSource(rng)
+    filled = 0
+    while filled < n:
+        seg = out[filled : filled + _CHUNK]
+        src.fill(seg)
+        kept = seg[seg != 0]
+        seg[: kept.size] = kept
+        filled += kept.size
+        del kept  # so the next chunk's mask and copy do not meet this one
+    src.close()
+    np.subtract(out, 1, out=out)
+    return np.floor_divide(out, 85, out=out)
 
 
 class RoundReport(_Record):
@@ -216,8 +289,7 @@ def intercept_resend(
     rng = np.random.default_rng(seed)
 
     def bases() -> np.ndarray:
-        # a range of 3 redraws a zero byte, so six-state bases stay with integers
-        return _fair_bits(rng, n) if n_bases == 2 else rng.integers(0, 3, n, dtype=np.uint8)
+        return _fair_bits(rng, n) if n_bases == 2 else _thirds(rng, n)
 
     alice_basis = bases()
     eve_differs = 0  # whether Eve's basis is not Alice's

@@ -21,7 +21,7 @@ from twoway_qkd import (
     simulate_protocol2_bits,
     sixstate_channel,
 )
-from twoway_qkd.montecarlo import _CHUNK, _fair_bits
+from twoway_qkd.montecarlo import _CHUNK, _fair_bits, _thirds
 
 
 def assert_within_5_sigma(q_hat: float, q_true: float, n: int) -> None:
@@ -266,6 +266,72 @@ class TestFairBits:
         assert ours.bit_generator.state == ref.bit_generator.state
         assert ours.random() == ref.random()
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, _CHUNK - 4, _CHUNK, 2 * _CHUNK + 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
+    def test_after_a_buffered_half_word(self, seed, n):
+        check_against_integers(_fair_bits, 2, seed, n, buffered=True)
+
+
+def check_against_integers(draw, high, seed, n, buffered=False):
+    """``draw(rng, n)`` gives the values of ``rng.integers(0, high, n,
+    dtype=np.uint8)`` and leaves the generator where that call leaves it.
+    With ``buffered``, both generators first make one single-byte draw, which
+    leaves PCG64 holding the upper half of a 64-bit word for the next
+    ``next_uint32``."""
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        for rng in (ours, ref):
+            rng.integers(0, 3, 1, dtype=np.uint8)
+            assert rng.bit_generator.state["has_uint32"] == 1
+    values = draw(ours, n)
+    assert values.dtype == np.uint8
+    assert np.array_equal(values, ref.integers(0, high, n, dtype=np.uint8))
+    assert ours.bit_generator.state == ref.bit_generator.state
+    assert ours.random() == ref.random()
+
+
+def stream_bytes(seed, count, buffered=False):
+    """The first ``count`` bytes a uint8 draw reads from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    head = b""
+    if buffered:
+        rng.integers(0, 3, 1, dtype=np.uint8)
+        head = np.array([rng.bit_generator.state["uinteger"]], "<u4").tobytes()
+    words = rng.bit_generator.random_raw(count // 8 + 1).astype("<u8").tobytes()
+    return np.frombuffer(head + words, np.uint8)[:count]
+
+
+class TestThirds:
+    """A six-state basis is Lemire's bounded method on a random byte: the
+    values of ``integers(0, 3, n, dtype=np.uint8)``, which redraws a zero
+    byte, and the generator left where that call leaves it, so every report
+    keeps its bytes.  Seeds 574 and 704 put a zero byte just after and just
+    before the first ``_CHUNK`` bytes, and seed 256 does so after a buffered
+    half-word (:meth:`test_seeds_put_a_zero_byte_at_a_chunk_edge`)."""
+
+    SIZES = [*range(1, 10), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 574, 704])
+    def test_matches_integers(self, seed, n):
+        check_against_integers(_thirds, 3, seed, n)
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("seed", [0, 1, 7, 256])
+    def test_after_a_buffered_half_word(self, seed, n):
+        check_against_integers(_thirds, 3, seed, n, buffered=True)
+
+    @pytest.mark.parametrize(
+        "seed, buffered, edge", [(574, False, _CHUNK), (704, False, _CHUNK - 1), (256, True, _CHUNK - 1)]
+    )
+    def test_seeds_put_a_zero_byte_at_a_chunk_edge(self, seed, buffered, edge):
+        raw = stream_bytes(seed, _CHUNK + 1, buffered)
+        assert raw[edge] == 0
+
+    def test_large_n(self):
+        for seed in range(3):
+            check_against_integers(_thirds, 3, seed, 10**6 + 3)
+
 
 class TestInterceptResend:
     def test_bb84_quarter(self):
@@ -368,9 +434,11 @@ class TestMemoryBudget:
     so a temporary of n int64 or float64 values (a permutation, a whole
     basis or uniform draw) exceeds the budget wherever it is held.  The
     attack holds at most three such arrays at its peak (two bases and the
-    next basis draw), beside one ``_CHUNK`` of raw bytes while it draws fair
-    bits; ``eve_matches_basis`` draws no Eve basis and takes its own path,
-    so both modes are held to the budget.  A B round compacts its survivors
+    next basis draw), beside per-chunk temporaries of ``_CHUNK`` bytes each:
+    one raw-word array while bytes are drawn, and while a six-state basis
+    draw compacts a chunk past its zero bytes, its boolean mask and the
+    compacted copy; ``eve_matches_basis`` draws no Eve basis and takes its
+    own path, so both modes are held to the budget.  A B round compacts its survivors
     in place, holding one ``_CHUNK`` of pair indices at a time."""
 
     N = 10**6

@@ -10,9 +10,10 @@ sees.  Every report must match theirs exactly for every ``(n, seed)``, and
 must not change when those bits are complemented.  The references draw each
 population array in one call, fair bits through ``integers(0, 2)``, form
 blocks from index columns and select B-round survivors with boolean masks;
-the package draws ``_CHUNK`` values at a time, fair bits as raw bytes,
-takes strided views and compacts survivors chunk by chunk, so the sizes
-below straddle the chunk boundaries.
+the package draws ``_CHUNK`` values at a time, bases and fair bits from
+the bytes of raw 64-bit words, takes strided views and compacts survivors
+chunk by chunk, so the sizes below straddle the chunk boundaries.  An attack
+at n = 10**6 draws some 16 chunks a basis.
 """
 
 import math
@@ -155,7 +156,7 @@ CHUNK_SIZES = [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("n", [1, 2, 7, 20000, *CHUNK_SIZES])
+@pytest.mark.parametrize("n", [1, 2, 7, 20000, *CHUNK_SIZES, 10**6])
 @pytest.mark.parametrize("eve_matches_basis", [False, True])
 @pytest.mark.parametrize("protocol", ["bb84", "sixstate"])
 def test_attack_report_matches_reference(protocol, eve_matches_basis, n, seed):
