@@ -437,9 +437,9 @@ class TestMemoryBudget:
     next basis draw), beside per-chunk temporaries of ``_CHUNK`` bytes each:
     one raw-word array while bytes are drawn, and while a six-state basis
     draw compacts a chunk past its zero bytes, its boolean mask and the
-    compacted copy; ``eve_matches_basis`` draws no Eve basis and takes its
-    own path, so both modes are held to the budget.  A B round compacts its survivors
-    in place, holding one ``_CHUNK`` of pair indices at a time."""
+    compacted copy.  ``eve_matches_basis`` draws no Eve basis and takes its
+    own path, so both modes are held to the budget.  A B round compacts its
+    survivors in place, holding one ``_CHUNK`` of pair indices at a time."""
 
     N = 10**6
 
