@@ -9,21 +9,21 @@ Two layers:
   sifted error needs Eve in another basis than Alice's and Bob's own random
   bit unlike Alice's, so only the bases and that difference are drawn.
 
-Randomness uses one numpy PCG64 generator per call, seeded with ``seed``,
+Randomness uses one numpy PCG64 stream per call, seeded with ``seed``,
 and only what a report reads is drawn from it.  Identical seeds give
 identical populations, blocks and reports.
 
 Every population array holds one byte a sample.  The error bits come from
 float64 uniforms drawn ``_CHUNK`` values at a time straight into such an
-array, so no array of n float64 values is ever held.  Bases and fair bits
-come from the bytes of raw 64-bit words (``bit_generator.random_raw``), in
-the order and with the stream use of numpy's bounded uint8 draws: a fair
-bit is the top bit of a byte, as ``rng.integers(0, 2, dtype=np.uint8)``
-returns it, and a six-state basis is the value
-``rng.integers(0, 3, dtype=np.uint8)`` makes of a byte, redrawing a zero
-byte.  A B round compacts its survivors into the front of the
-population buffer ``_CHUNK`` pairs at a time, so no index array over the
-whole round is held.
+array, so no array of n float64 values is ever held.  An attack reads its
+bases and fair bits from one byte stream, the bytes of the seed's raw
+64-bit words (``random_raw``), and each draw reads the bytes numpy's
+bounded uint8 draw reads from that point: a fair bit is the top bit of a
+byte, as ``rng.integers(0, 2, dtype=np.uint8)`` returns it, and a
+six-state basis is the value ``rng.integers(0, 3, dtype=np.uint8)`` makes
+of a byte, redrawing a zero byte.  A B round compacts its survivors into
+the front of the population buffer ``_CHUNK`` pairs at a time, so no index
+array over the whole round is held.
 
 numpy is imported inside the functions that sample, so it loads on the first
 Monte Carlo call; importing this module, as every analytic command does, does not.
@@ -39,30 +39,25 @@ from .steps import ProtocolClassError, StepKind, _BLOCK_SIZES
 
 # Values per draw call, so no whole-population temporary is held.  A float64
 # takes one 64-bit word, so chunked uniforms consume the stream exactly as one
-# whole-array call does; the byte source below is one stream across its chunks.
+# whole-array call does; the byte source below draws the raw words of at most
+# _CHUNK bytes at a time, and its draws read those bytes as one stream.
 _CHUNK = 2**16
 
 
 class _ByteSource:
-    """The bytes a uint8 ``rng.integers`` call reads, from raw 64-bit words.
+    """The bytes the uint8 ``integers`` draws of ``default_rng(seed)`` read.
 
-    Such a call reads ``next_uint32`` words, low byte first.  PCG64 returns
-    the upper half of a 64-bit word it has buffered first, then the low and
-    the upper half of each new word, so the stream is the buffered half's 4
-    bytes, then each new word's 8 bytes in little-endian order.
-    ``random_raw`` draws the words past that buffer.  ``close`` leaves the
-    generator as such a call leaves it after reading every byte filled: a
-    half-word is used up once a byte of it is read, an unread upper half
-    stays buffered, and ``uinteger`` holds the last word's upper half.
+    Such a draw reads 32-bit half-words, low byte first, and PCG64 hands
+    out the low half of each 64-bit word before its upper half, so the
+    stream is each word's 8 bytes in little-endian order.  A draw uses up
+    every half-word it reads a byte of, so :meth:`end_draw` drops the unread
+    bytes of the last one.
     """
 
-    def __init__(self, rng) -> None:
+    def __init__(self, seed: int) -> None:
         import numpy as np
-        self._bitgen = rng.bit_generator
-        state = self._bitgen.state
-        # bytes drawn but not yet read: at first the buffered half-word's, if any
-        self._left = np.array([state["uinteger"]], "<u4").view(np.uint8)[: 4 * state["has_uint32"]]
-        self._upper = None  # the upper half of the last word drawn
+        self._bitgen = np.random.PCG64(seed)  # the bit generator default_rng(seed) wraps
+        self._left = np.empty(0, np.uint8)  # bytes drawn but not yet read
 
     def fill(self, dest) -> None:
         """Writes the next ``dest.size`` bytes of the stream into ``dest``."""
@@ -71,45 +66,40 @@ class _ByteSource:
         self._left = self._left[j:]
         for start in range(j, dest.size, _CHUNK):
             k = min(_CHUNK, dest.size - start)
-            words = self._bitgen.random_raw(-(-k // 8))
-            raw = words.astype("<u8", copy=False).view("u1")
+            raw = self._bitgen.random_raw(-(-k // 8)).astype("<u8", copy=False).view("u1")
             dest[start : start + k] = raw[:k]
             self._left = raw[k:].copy()
-            self._upper = int(words[-1]) >> 32
 
-    def close(self) -> None:
-        state = self._bitgen.state
-        state["has_uint32"] = int(self._left.size >= 4)
-        if self._upper is not None:
-            state["uinteger"] = self._upper
-        self._bitgen.state = state
+    def end_draw(self) -> None:
+        """Drops the unread bytes of the last half-word read, as a draw ends."""
+        self._left = self._left[self._left.size % 4 :]
 
 
-def _fair_bits(rng, n: int):
-    """``rng.integers(0, 2, n, dtype=np.uint8)``, values and stream position.
+def _fair_bits(src: _ByteSource, n: int):
+    """``rng.integers(0, 2, n, dtype=np.uint8)``'s values, read from ``src``.
 
     The bounded method returns the top bit of each byte.
     """
     import numpy as np
     out = np.empty(n, np.uint8)
-    src = _ByteSource(rng)
     src.fill(out)
-    src.close()
+    src.end_draw()
     return np.right_shift(out, 7, out=out)
 
 
-def _thirds(rng, n: int):
-    """``rng.integers(0, 3, n, dtype=np.uint8)``, values and stream position.
+def _thirds(src: _ByteSource, n: int):
+    """``rng.integers(0, 3, n, dtype=np.uint8)``'s values, read from ``src``.
 
     Lemire's method, as numpy runs it on a byte b, returns (3b) >> 8, which
     is (b >= 86) + (b >= 171), and redraws b = 0, the one byte whose product
     3b leaves a remainder below 256 mod 3.  Each ``_CHUNK`` of bytes is
     compacted past its zero bytes in place, and the kept bytes are mapped at
-    the end through (b - 1) // 85, which is that sum for every b >= 1.
+    the end through (b - 1) // 85, which is that sum for every b >= 1.  A
+    redrawn byte is the next byte of the same draw, so only the whole draw
+    ends at a half-word.
     """
     import numpy as np
     out = np.empty(n, np.uint8)
-    src = _ByteSource(rng)
     filled = 0
     while filled < n:
         seg = out[filled : filled + _CHUNK]
@@ -118,7 +108,7 @@ def _thirds(rng, n: int):
         seg[: kept.size] = kept
         filled += kept.size
         del kept  # so the next chunk's mask and copy do not meet this one
-    src.close()
+    src.end_draw()
     np.subtract(out, 1, out=out)
     return np.floor_divide(out, 85, out=out)
 
@@ -285,19 +275,15 @@ def intercept_resend(
         raise ValueError(f"unknown protocol {protocol!r}; expected bb84 or sixstate")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    n_bases = 2 if protocol == "bb84" else 3
-    rng = np.random.default_rng(seed)
-
-    def bases() -> np.ndarray:
-        return _fair_bits(rng, n) if n_bases == 2 else _thirds(rng, n)
-
-    alice_basis = bases()
+    bases = _fair_bits if protocol == "bb84" else _thirds
+    src = _ByteSource(seed)
+    alice_basis = bases(src, n)
     eve_differs = 0  # whether Eve's basis is not Alice's
     if not eve_matches_basis:
-        eve_differs = bases()
+        eve_differs = bases(src, n)
         np.not_equal(eve_differs, alice_basis, out=eve_differs)
-    sifted_mask = np.equal(bases(), alice_basis, out=alice_basis)  # Bob's basis is Alice's
-    err = _fair_bits(rng, n)  # whether Bob's random bit is not Alice's
+    sifted_mask = np.equal(bases(src, n), alice_basis, out=alice_basis)  # Bob's basis is Alice's
+    err = _fair_bits(src, n)  # whether Bob's random bit is not Alice's
     err &= eve_differs
     sifted = int(np.count_nonzero(sifted_mask))
     err &= sifted_mask

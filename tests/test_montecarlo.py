@@ -21,7 +21,12 @@ from twoway_qkd import (
     simulate_protocol2_bits,
     sixstate_channel,
 )
-from twoway_qkd.montecarlo import _CHUNK, _fair_bits, _thirds
+from twoway_qkd.montecarlo import _CHUNK, _ByteSource, _fair_bits, _thirds
+
+
+# sizes of a draw made before the one checked: it leaves 3, 1 or 0 bytes of a
+# 32-bit half-word unread, in the low or the upper half of a 64-bit word
+FIRST = [1, 3, 4, 5, 8]
 
 
 def assert_within_5_sigma(q_hat: float, q_true: float, n: int) -> None:
@@ -252,62 +257,49 @@ class TestProtocol2Bits:
 
 class TestFairBits:
     """A fair bit is the top bit of a random byte: the values of
-    ``integers(0, 2, n, dtype=np.uint8)``, and the generator left where that
-    call leaves it, so every report keeps its bytes."""
+    ``integers(0, 2, n, dtype=np.uint8)``, so every report keeps its bytes."""
 
     @pytest.mark.parametrize("n", [*range(1, 10), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
     def test_matches_integers(self, seed, n):
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        bits = _fair_bits(ours, n)
-        assert bits.dtype == np.uint8
-        assert np.array_equal(bits, ref.integers(0, 2, n, dtype=np.uint8))
-        # the state holds PCG64's half-used 64-bit word, which random() skips
-        assert ours.bit_generator.state == ref.bit_generator.state
-        assert ours.random() == ref.random()
+        check_against_integers(_fair_bits, 2, seed, n)
 
+    @pytest.mark.parametrize("first", FIRST)
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, _CHUNK - 4, _CHUNK, 2 * _CHUNK + 3])
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5])
-    def test_after_a_buffered_half_word(self, seed, n):
-        check_against_integers(_fair_bits, 2, seed, n, buffered=True)
+    def test_after_a_first_draw(self, seed, n, first):
+        check_against_integers(_fair_bits, 2, seed, n, first)
 
 
-def check_against_integers(draw, high, seed, n, buffered=False):
-    """``draw(rng, n)`` gives the values of ``rng.integers(0, high, n,
-    dtype=np.uint8)`` and leaves the generator where that call leaves it.
-    With ``buffered``, both generators first make one single-byte draw, which
-    leaves PCG64 holding the upper half of a 64-bit word for the next
-    ``next_uint32``."""
-    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    if buffered:
-        for rng in (ours, ref):
-            rng.integers(0, 3, 1, dtype=np.uint8)
-            assert rng.bit_generator.state["has_uint32"] == 1
-    values = draw(ours, n)
-    assert values.dtype == np.uint8
-    assert np.array_equal(values, ref.integers(0, high, n, dtype=np.uint8))
-    assert ours.bit_generator.state == ref.bit_generator.state
-    assert ours.random() == ref.random()
+def check_against_integers(draw, high, seed, n, first=0):
+    """One byte source gives, draw by draw, the values of the same uint8
+    ``integers`` calls on ``default_rng(seed)``: a first ``draw`` of
+    ``first`` values if ``first``, then ``draw(src, n)``, the values of
+    ``integers(0, high, n)``, then a 5-value fair-bit draw, which starts
+    where the draw before it left the stream."""
+    src, ref = _ByteSource(seed), np.random.default_rng(seed)
+    calls = ([(draw, high, first)] if first else []) + [(draw, high, n), (_fair_bits, 2, 5)]
+    for f, h, size in calls:
+        values = f(src, size)
+        assert values.dtype == np.uint8
+        assert np.array_equal(values, ref.integers(0, h, size, dtype=np.uint8))
 
 
-def stream_bytes(seed, count, buffered=False):
-    """The first ``count`` bytes a uint8 draw reads from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    head = b""
-    if buffered:
-        rng.integers(0, 3, 1, dtype=np.uint8)
-        head = np.array([rng.bit_generator.state["uinteger"]], "<u4").tobytes()
-    words = rng.bit_generator.random_raw(count // 8 + 1).astype("<u8").tobytes()
-    return np.frombuffer(head + words, np.uint8)[:count]
+def stream_bytes(seed, count):
+    """The first ``count`` bytes of ``default_rng(seed)``'s uint8 draws: the
+    raw 64-bit words' bytes in little-endian order."""
+    words = np.random.PCG64(seed).random_raw(count // 8 + 1).astype("<u8").tobytes()
+    return np.frombuffer(words, np.uint8)[:count]
 
 
 class TestThirds:
     """A six-state basis is Lemire's bounded method on a random byte: the
     values of ``integers(0, 3, n, dtype=np.uint8)``, which redraws a zero
-    byte, and the generator left where that call leaves it, so every report
-    keeps its bytes.  Seeds 574 and 704 put a zero byte just after and just
-    before the first ``_CHUNK`` bytes, and seed 256 does so after a buffered
-    half-word (:meth:`test_seeds_put_a_zero_byte_at_a_chunk_edge`)."""
+    byte, so every report keeps its bytes.  Seeds 574 and 704 put a zero
+    byte just after and just before the first ``_CHUNK`` bytes of the
+    stream, and seed 256 does so for the draw after a one-value first draw,
+    which starts at the stream's second 32-bit half-word
+    (:meth:`test_seeds_put_a_zero_byte_at_a_chunk_edge`)."""
 
     SIZES = [*range(1, 10), _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
 
@@ -316,17 +308,15 @@ class TestThirds:
     def test_matches_integers(self, seed, n):
         check_against_integers(_thirds, 3, seed, n)
 
+    @pytest.mark.parametrize("first", FIRST)
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("seed", [0, 1, 7, 256])
-    def test_after_a_buffered_half_word(self, seed, n):
-        check_against_integers(_thirds, 3, seed, n, buffered=True)
+    def test_after_a_first_draw(self, seed, n, first):
+        check_against_integers(_thirds, 3, seed, n, first)
 
-    @pytest.mark.parametrize(
-        "seed, buffered, edge", [(574, False, _CHUNK), (704, False, _CHUNK - 1), (256, True, _CHUNK - 1)]
-    )
-    def test_seeds_put_a_zero_byte_at_a_chunk_edge(self, seed, buffered, edge):
-        raw = stream_bytes(seed, _CHUNK + 1, buffered)
-        assert raw[edge] == 0
+    @pytest.mark.parametrize("seed, edge", [(574, _CHUNK), (704, _CHUNK - 1), (256, 4 + _CHUNK - 1)])
+    def test_seeds_put_a_zero_byte_at_a_chunk_edge(self, seed, edge):
+        assert stream_bytes(seed, _CHUNK + 4)[edge] == 0
 
     def test_large_n(self):
         for seed in range(3):
