@@ -24,11 +24,6 @@ from twoway_qkd import (
 from twoway_qkd.montecarlo import _CHUNK, _ByteSource, _fair_bits, _thirds
 
 
-# sizes of a draw made before the one checked: it leaves 3, 1 or 0 bytes of a
-# 32-bit half-word unread, in the low or the upper half of a 64-bit word
-FIRST = [1, 3, 4, 5, 8]
-
-
 def assert_within_5_sigma(q_hat: float, q_true: float, n: int) -> None:
     sigma = max(math.sqrt(q_true * (1.0 - q_true) / n), 1e-12)
     assert abs(q_hat - q_true) <= 5.0 * sigma
@@ -253,6 +248,11 @@ class TestProtocol2Bits:
         sigma = math.sqrt(0.5 * ps * (1 - 0.5 * ps) / n)
         assert abs(len(flags) / n - 0.5 * ps) <= 5 * sigma
         assert abs(rep.rounds[0].n_kept / n - 0.5 * ps) <= 5 * sigma
+
+
+# sizes of a draw made before the one checked: it leaves 3, 1 or 0 bytes of a
+# 32-bit half-word unread, in the low or the upper half of a 64-bit word
+FIRST = [1, 3, 4, 5, 8]
 
 
 class TestFairBits:
