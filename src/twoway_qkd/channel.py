@@ -12,7 +12,7 @@ All types are immutable values and all operations are pure functions.
 
 from __future__ import annotations
 
-import math
+from math import isfinite
 
 # Validation tolerance: violations beyond this are rejected, while smaller
 # negative rates are clamped to zero.  It governs validation only; the step
@@ -21,7 +21,7 @@ SIMPLEX_TOL = 1e-12
 
 
 def _checked_rate(value: float, name: str) -> float:
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if value <= 0.0:  # -0.0 and negative round-off both become +0.0
         if value < -SIMPLEX_TOL:

@@ -71,9 +71,10 @@ def css_key_fraction(f1: float, f2: float) -> float:
 def _css_viable(qx: float, qy: float, qz: float, margin: float) -> bool:
     """``css_key_fraction(qx + qy, qy + qz) > margin``, most states decided without a log.
 
-    With near and far picked as :func:`css_key_fraction` picks them and
-    u = 1/2 - near, Topsoe's h(x) >= 4x(1 - x) bounds the key fraction by
-    4u**2 - 4 far (1 - far).  Both terms keep their relative precision, so
+    With u = 1/2 - near, Topsoe's h(x) >= 4x(1 - x) bounds the key fraction
+    by 4u**2 - 4 far (1 - far) whichever rate is called near, so near is the
+    rate with the smaller u**2, as :func:`css_key_fraction` picks it save
+    where two squares round equal.  Both terms keep their relative precision, so
     a bound short of ``margin`` by a relative 1e-9 rejects only states
     whose fraction fails the margin too.  Every other state, NaN included,
     goes to :func:`css_key_fraction`; for rates in [0, 1], the only ones
@@ -83,11 +84,13 @@ def _css_viable(qx: float, qy: float, qz: float, margin: float) -> bool:
     f2 = qy + qz
     u1 = 0.5 - f1
     u2 = 0.5 - f2
-    if abs(u1) <= abs(u2):
-        u, far = u1, f2
+    uu1 = u1 * u1
+    uu2 = u2 * u2
+    if uu1 <= uu2:
+        uu, far = uu1, f2
     else:
-        u, far = u2, f1
-    if 4.0 * u * u < (4.0 * far * (1.0 - far) + margin) * (1.0 - 1e-9):
+        uu, far = uu2, f1
+    if 4.0 * uu < (4.0 * far * (1.0 - far) + margin) * (1.0 - 1e-9):
         return False
     return css_key_fraction(f1, f2) > margin
 
@@ -216,7 +219,8 @@ class Trajectory(_Record):
 
     @property
     def cumulative_yield(self) -> float:
-        return prod(self._kept_fractions, start=1.0)
+        steps = self.sequence.steps
+        return prod(map(truediv, map(_survival, self.rounds), map(_block_size, steps)), start=1.0)
 
     @property
     def final_bit_rate(self) -> float:
@@ -304,13 +308,8 @@ def evolve(seq: StepSequence, c: PauliChannelParams) -> Trajectory:
     rounds: list[tuple[float, float, float, float]] = []
     converged = _evolve_rounds(seq, (c.qx, c.qy, c.qz), rounds)
     diverged = seq.policy == ALTERNATING and not converged
-    return Trajectory(
-        initial=c,
-        sequence=seq,
-        rounds=tuple(rounds),
-        converged=converged,
-        diagnostic=f"no CSS viability within {seq.max_rounds} rounds" if diverged else None,
-    )
+    diagnostic = f"no CSS viability within {seq.max_rounds} rounds" if diverged else None
+    return Trajectory(c, seq, tuple(rounds), converged, diagnostic)
 
 
 def _converges(seq: StepSequence, rates: tuple[float, float, float]) -> bool:

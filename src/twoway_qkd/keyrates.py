@@ -177,6 +177,12 @@ def rate_threshold(rate_fn: Callable[[float], KeyRateReport]) -> float:
     return 0.5 * (lo + hi)
 
 
+_TWO_WAY_NOTE = (
+    "per sifted bit entering round 1; rate = cumulative_yield * "
+    "max(css_rate, 0); test-bit sacrifice excluded"
+)
+
+
 def two_way_net_rate(t: "Trajectory") -> KeyRateReport:
     """Net key per sifted bit entering the first distillation round.
 
@@ -189,18 +195,9 @@ def two_way_net_rate(t: "Trajectory") -> KeyRateReport:
         note = f"diverged: {t.diagnostic or 'CSS stage not viable'}"
         return KeyRateReport("two_way_epp", t.initial.pz, None, note=note)
     cum_yield, css = t.cumulative_yield, t.css_rate  # each computed on read
+    components = {"cumulative_yield": cum_yield, "css_rate": css}
     return KeyRateReport(
-        scheme="two_way_epp",
-        p=t.initial.pz,
-        rate=cum_yield * max(css, 0.0),
-        components={
-            "cumulative_yield": cum_yield,
-            "css_rate": css,
-        },
-        note=(
-            "per sifted bit entering round 1; rate = cumulative_yield * "
-            "max(css_rate, 0); test-bit sacrifice excluded"
-        ),
+        "two_way_epp", t.initial.pz, cum_yield * max(css, 0.0), components, _TWO_WAY_NOTE
     )
 
 

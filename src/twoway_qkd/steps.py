@@ -75,9 +75,11 @@ def _bx_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, flo
 def _p_rates(qx: float, qy: float, qz: float) -> tuple[float, float, float, float]:
     """Raw P-step map; survival is always 1."""
     qi = 1.0 - qx - qy - qz
-    nqx = 3.0 * qi * qi * (qx + qy) + 6.0 * qi * qx * qz + 3.0 * qx * qx * qy + qx**3
-    nqy = 6.0 * qi * qy * qz + 3.0 * qx * (qy * qy + qz * qz) + 3.0 * qy * qz * qz + qy**3
-    nqz = 3.0 * qi * (qy * qy + qz * qz) + 6.0 * qx * qy * qz + 3.0 * qy * qy * qz + qz**3
+    # each product two rates share is computed once; every rounding is as written out in full
+    qi3, qi6, yz2, qx3, qy3 = 3.0 * qi, 6.0 * qi, qy * qy + qz * qz, 3.0 * qx, 3.0 * qy
+    nqx = qi3 * qi * (qx + qy) + qi6 * qx * qz + qx3 * qx * qy + qx**3
+    nqy = qi6 * qy * qz + qx3 * yz2 + qy3 * qz * qz + qy**3
+    nqz = qi3 * yz2 + 6.0 * qx * qy * qz + qy3 * qy * qz + qz**3
     return (
         nqx if nqx > 0.0 else 0.0,
         nqy if nqy > 0.0 else 0.0,
