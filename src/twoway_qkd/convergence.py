@@ -72,13 +72,15 @@ def _css_viable(qx: float, qy: float, qz: float, margin: float) -> bool:
     """``css_key_fraction(qx + qy, qy + qz) > margin``, most states decided without a log.
 
     With u = 1/2 - near, Topsoe's h(x) >= 4x(1 - x) bounds the key fraction
-    by 4u**2 - 4 far (1 - far) whichever rate is called near, so near is the
-    rate with the smaller u**2, as :func:`css_key_fraction` picks it save
-    where two squares round equal.  Both terms keep their relative precision, so
-    a bound short of ``margin`` by a relative 1e-9 rejects only states
-    whose fraction fails the margin too.  Every other state, NaN included,
-    goes to :func:`css_key_fraction`; for rates in [0, 1], the only ones
-    the kernel makes, the verdict is that of the fraction itself.
+    by 4u**2 - 4 far (1 - far) whichever rate is called near.  Near is the
+    rate with the smaller u**2: a nonzero u of rates in [0, 1] is at least
+    2**-54, so two squares round equal only when the |u| are equal, and the
+    pick is that of :func:`css_key_fraction`.  Both terms keep their
+    relative precision, so a bound short of ``margin`` by a relative 1e-9
+    rejects only states whose fraction fails the margin too.  Every other
+    state, NaN included, goes to :func:`css_key_fraction`; for rates in
+    [0, 1], the only ones the kernel makes, the verdict is that of the
+    fraction itself.
     """
     f1 = qx + qy
     f2 = qy + qz

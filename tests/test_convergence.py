@@ -72,7 +72,9 @@ class TestCssKeyFraction:
 class TestCssViable:
     """The log-free rejection bound never changes a CSS verdict."""
 
-    MARGINS = (0.0, 1e-30, 0.1)
+    # 1 - 2**-40 lies within the 1e-9 slack of the largest key fraction, 1, so a slack
+    # applied with the wrong sign rejects the states near (0, 0)
+    MARGINS = (0.0, 1e-30, 0.1, 1.0 - 2.0**-40)
 
     @staticmethod
     def rate_pairs():
@@ -86,7 +88,16 @@ class TestCssViable:
         nears = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
         fars = [0.0, 5e-324, 2.0**-60] + [1.0 - 2.0**-k for k in range(2, 54)]
         edge = [(near, far) for near in nears for far in fars]
-        return pairs + edge + [(far, near) for near, far in edge]
+        pairs += edge + [(far, near) for near, far in edge]
+        # ties of |1/2 - f1| and |1/2 - f2|, and pairs one ulp of f2 off a tie: f2 is f1 or its
+        # mirror 1 - f1, or one ulp either side of them, in both argument orders
+        f1s = [rng.random() for _ in range(500)] + dyadic + nears + [5e-324]
+        for f1 in f1s:
+            for tie in {f1, 1.0 - f1}:
+                for f2 in (math.nextafter(tie, -1.0), tie, math.nextafter(tie, 2.0)):
+                    if 0.0 <= f2 <= 1.0:
+                        pairs += [(f1, f2), (f2, f1)]
+        return pairs
 
     @pytest.mark.parametrize("margin", MARGINS)
     def test_matches_the_key_fraction(self, monkeypatch, margin):

@@ -9,19 +9,23 @@ from twoway_qkd import (
     KeyRateReport,
     NumericalError,
     PauliChannelParams,
+    StepKind,
     StepSequence,
+    Trajectory,
     binary_entropy,
     bounds_table,
     css_key_fraction,
     evolve,
     inamori_bb84_rate,
     inamori_sixstate_rate,
+    parse_sequence,
     rate_threshold,
     shor_preskill_rate,
     sixstate_channel,
     two_way_net_rate,
 )
 from twoway_qkd import cli
+from twoway_qkd.convergence import channel_for_family
 from twoway_qkd.keyrates import one_minus_binary_entropy
 
 
@@ -178,6 +182,46 @@ class TestRateThreshold:
             rate_threshold(lambda p: KeyRateReport("negative", p, -1.0))
 
 
+BLOCK_SIZES = {StepKind.B: 2, StepKind.P: 3, StepKind.BX: 2}
+
+
+def reference_trajectory(t):
+    """``t`` rebuilt from its own fields with keyword arguments."""
+    return Trajectory(
+        initial=t.initial,
+        sequence=t.sequence,
+        rounds=t.rounds,
+        converged=t.converged,
+        diagnostic=t.diagnostic,
+    )
+
+
+def reference_report(t):
+    """``two_way_net_rate(t)`` built with keyword arguments from ``t``'s rounds.
+
+    The yield is ``math.prod`` of each round's ps over its block size, the CSS
+    rate that of the last round's rates (or the initial ones), and the rate
+    ``yield * max(css, 0.0)``.
+    """
+    if not t.converged:
+        note = f"diverged: {t.diagnostic or 'CSS stage not viable'}"
+        return KeyRateReport("two_way_epp", t.initial.pz, None, note=note)
+    kept = [r[3] / BLOCK_SIZES[kind] for kind, r in zip(t.sequence.steps, t.rounds)]
+    cum_yield = math.prod(kept, start=1.0)
+    qx, qy, qz = t.rounds[-1][:3] if t.rounds else (t.initial.qx, t.initial.qy, t.initial.qz)
+    css = css_key_fraction(qx + qy, qy + qz)
+    return KeyRateReport(
+        scheme="two_way_epp",
+        p=t.initial.pz,
+        rate=cum_yield * max(css, 0.0),
+        components={"cumulative_yield": cum_yield, "css_rate": css},
+        note=(
+            "per sifted bit entering round 1; rate = cumulative_yield * "
+            "max(css_rate, 0); test-bit sacrifice excluded"
+        ),
+    )
+
+
 class TestTwoWayNetRate:
     def test_noiseless_five_b(self):
         t = evolve(StepSequence.fixed("BBBBB"), PauliChannelParams(0, 0, 0))
@@ -211,6 +255,20 @@ class TestTwoWayNetRate:
         assert r.components == {}
         assert r.p == t.initial.pz == 0.30
         assert r.note == note
+
+    @pytest.mark.parametrize("margin", [0.0, 1e-30])
+    @pytest.mark.parametrize("family", ["sixstate", "bb84_worst"])
+    @pytest.mark.parametrize("text", ["BBBBB", "BBBBBPPPPPP", "alt:200", "alt:60", "BBxPBP"])
+    def test_curve_points_match_the_keyword_reference(self, text, family, margin):
+        # every point of the benchmark's 300-point curve grid, trajectory and report bit for bit
+        seq = parse_sequence(text, css_margin=margin)
+        outcomes = set()
+        for p in [0.3 * i / 300 for i in range(1, 301)]:
+            t = evolve(seq, channel_for_family(family, p))
+            assert repr(t) == repr(reference_trajectory(t)), p
+            assert repr(two_way_net_rate(t)) == repr(reference_report(t)), p
+            outcomes.add(t.converged)
+        assert outcomes == {True, False}  # both branches of the report ran
 
 
 class TestBoundsTable:

@@ -300,6 +300,23 @@ def _roundoff_inputs() -> list[tuple[float, float, float]]:
     return sorted({t for triple in triples for t in permutations(triple)})
 
 
+def _extreme_inputs() -> list[tuple[float, float, float]]:
+    """Rates at 1e-300, 1e-160 and the least subnormal, and rates whose qi is within one ulp of 0.
+
+    Products of such rates underflow, or lose bits as subnormals, so each
+    product's rounding order shows in the output.  Each triple comes in every order.
+    """
+    tiny = [5e-324, 1e-300, 1e-160]
+    rates = [0.0, *tiny, 0.1, 0.3, 0.5]
+    triples = [(a, b, c) for a in rates for b in rates for c in rates if a + b + c <= 1.0]
+    # qz at 1 - qx - qy and one ulp either side, so qi = 1 - qx - qy - qz is 0 or one ulp off it
+    for qx in [*tiny, 0.1, 0.5]:
+        for qy in [*tiny, 0.3, 0.5]:
+            qz = 1.0 - qx - qy
+            triples += [(qx, qy, math.nextafter(qz, -1.0)), (qx, qy, qz), (qx, qy, math.nextafter(qz, 2.0))]
+    return sorted({t for triple in triples for t in permutations(triple)})
+
+
 class TestBranchClamps:
     """The maps' branch clamps return exactly what ``max(0.0, ...)`` did."""
 
@@ -319,6 +336,9 @@ class TestBranchClamps:
 
     def test_roundoff_inputs(self):
         self.assert_same(_roundoff_inputs())
+
+    def test_extreme_inputs(self):
+        self.assert_same(_extreme_inputs())
 
     def test_roundoff_inputs_fire_every_clamp(self):
         # all inputs positive and an output of 0.0: only a clamp produces that
